@@ -1,9 +1,10 @@
 """Brute-force network enumeration as ground truth.
 
 One-component networks are grown by inserting a reticulation with d parent
-stubs into candidate edges of a smaller network; general tree-child
-networks come from degree-constrained backtracking.  Deduplication by a
-canonical key turns both into oracles for the counting formulas.
+stubs into candidate edges of a smaller network, always with a label above
+every existing reticulation label, so each is built exactly once; general
+tree-child networks come from degree-constrained backtracking, deduplicated
+by a canonical key.  Both are oracles for the counting formulas.
 """
 
 from treechild import exact, networks as nw

@@ -357,6 +357,9 @@ def _cmd_dist(args) -> int:
         _emit(_envelope("dist", {**params, "exploratory": args.exploratory}, report))
         return 0
 
+    if args.n is None:
+        sys.stderr.write("dist requires --n unless --exploratory is given\n")
+        return 2
     if args.limit is None:
         pmf = dist.r_pmf(args.d, args.n)
         if args.format == "csv":

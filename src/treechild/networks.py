@@ -14,16 +14,17 @@ suppressing the resulting degree-2 nodes leaves a phylogenetic "base" tree;
 the deleted material is recorded as a stack of reticulation labels on each
 base-tree edge (top-to-bottom order is structural).  Networks are in
 bijection with (base tree, stacks) pairs, so nested tuples of ints act as a
-canonical key and the insertion step becomes cheap tuple surgery.  General
-tree-child networks fall back to an invariant-plus-search canonicalization.
+canonical key and the insertion step becomes cheap tuple surgery.  Their
+enumeration is orderly: the parent of a network is the one left by deleting
+its largest reticulation label, so growing only with labels above every
+existing reticulation label builds each network exactly once, depth-first.
+General tree-child networks fall back to an invariant-plus-search
+canonicalization.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
@@ -35,7 +36,6 @@ RET = "reticulation"
 LEAF = "leaf"
 
 DEFAULT_NETWORK_BUDGET = 50_000_000
-_PARALLEL_THRESHOLD = 200_000
 
 
 @dataclass(frozen=True)
@@ -679,82 +679,59 @@ def ret_insertion(net: PhyloNetwork, free_edge: tuple[int, int]) -> PhyloNetwork
     )
 
 
+def _check_params(d: int, n: int, k: int) -> None:
+    """The (d, n, k) domain shared by every network enumerator."""
+    if d < 2 or n < 1 or k < 0 or k > n - 1:
+        raise ValueError(f"bad parameters d={d}, n={n}, k={k}")
+
+
 # ---------------------------------------------------------------------------
 # One-component enumeration.
 # ---------------------------------------------------------------------------
 
-def _expand_coords(
-    d: int, parents: list[Coord], n_new: int
-) -> set[Coord]:
-    out: set[Coord] = set()
-    labels = range(1, n_new + 1)
-    for parent in parents:
-        slots = _coord_slot_count(parent)
+def _otc_coords(d: int, n: int, k: int, budget: int):
+    """Yield the coordinates of every one-component network once, depth-first.
+
+    Orderly generation: the parent of a network is the network left by
+    deleting its largest reticulation label (its stubs and its leaf) and
+    shifting the labels above it down by one.  Children are therefore built
+    only with a new label above every reticulation label of the parent;
+    base-tree leaves are labeled, so distinct placements give distinct
+    children and no network is built twice.  The budget counts insertions.
+    """
+    built = 0
+
+    def grow(coord: Coord, top: int, leaves: int):
+        nonlocal built
+        if leaves == n:
+            yield coord
+            return
+        leaves += 1
+        slots = _coord_slot_count(coord)
         for comb in combinations_with_replacement(range(slots), d):
             placement: dict[int, int] = {}
             for s in comb:
                 placement[s] = placement.get(s, 0) + 1
-            for lab in labels:
-                out.add(_coord_insert(parent, placement, lab))
-    return out
+            for label in range(top + 1, leaves + 1):
+                built += 1
+                if built > budget:
+                    raise BudgetExceeded(
+                        f"enumerate_otc(d={d}, n={n}, k={k}) exceeded "
+                        f"{budget} constructions"
+                    )
+                child = _coord_insert(coord, placement, label)
+                yield from grow(child, label, leaves)
 
-
-def _expand_chunk(args) -> set[Coord]:
-    d, parents, n_new = args
-    return _expand_coords(d, parents, n_new)
-
-
-def _comb_count(s: int, d: int) -> int:
-    return math.comb(s + d - 1, d)
-
-
-def _otc_level_coords(
-    d: int,
-    n: int,
-    k: int,
-    budget: int,
-    workers: int | None = None,
-) -> set[Coord]:
-    if d < 2 or n < 1 or k < 0 or k > n - 1:
-        raise ValueError(f"bad parameters d={d}, n={n}, k={k}")
-    if workers is None:
-        workers = min(2, os.cpu_count() or 1)
-    level: set[Coord] = set(_tree_coords(n - k))
-    built = 0
-    for j in range(1, k + 1):
-        n_new = n - k + j
-        parents = sorted(level)
-        cost = sum(
-            n_new * _comb_count(_coord_slot_count(p), d) for p in parents
-        )
-        built += cost
-        if built > budget:
-            raise BudgetExceeded(
-                f"enumerate_otc(d={d}, n={n}, k={k}) needs {built} "
-                f"constructions, budget is {budget}"
-            )
-        if workers > 1 and cost >= _PARALLEL_THRESHOLD and len(parents) >= workers:
-            chunks = [
-                (d, parents[i::workers], n_new) for i in range(workers)
-            ]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_expand_chunk, chunks)
-            level = set().union(*parts)
-        else:
-            level = _expand_coords(d, parents, n_new)
-    return level
+    for tree in _tree_coords(n - k):
+        yield from grow(tree, 0, n - k)
 
 
 def count_otc_networks(
-    d: int,
-    n: int,
-    k: int,
-    budget: int = DEFAULT_NETWORK_BUDGET,
-    workers: int | None = None,
+    d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_otc| without materializing network objects."""
-    return len(_otc_level_coords(d, n, k, budget, workers))
+    """|enumerate_otc|, counting coordinates as they are generated."""
+    _check_params(d, n, k)
+    return sum(1 for _ in _otc_coords(d, n, k, budget))
 
 
 def enumerate_otc(
@@ -763,11 +740,12 @@ def enumerate_otc(
     """All one-component networks with n leaves and k reticulations.
 
     Seeds with every phylogenetic tree on n-k leaves and applies the
-    reticulation-and-leaf insertion k times, deduplicating isomorphs; the
-    result is sorted by canonical key.
+    reticulation-and-leaf insertion k times, each time with a label above
+    every existing reticulation label, so that each network is built from
+    its unique parent only; the result is sorted by canonical key.
     """
-    coords = sorted(_otc_level_coords(d, n, k, budget, workers=1))
-    return [_coord_to_network(c, d) for c in coords]
+    _check_params(d, n, k)
+    return [_coord_to_network(c, d) for c in sorted(_otc_coords(d, n, k, budget))]
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +765,6 @@ def _tc_search(d: int, n: int, k: int, budget: int, emit) -> None:
     canonical keys.
     """
     t = n + (d - 1) * k - 1
-    if k < 0 or k > n - 1 or t < 0:
-        return
     num = 1 + t + k + n
     tree_lo, tree_hi = 1, t  # inclusive
     ret_lo, ret_hi = t + 1, t + k
@@ -913,6 +889,7 @@ def enumerate_tc(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> list[PhyloNetwork]:
     """All tree-child networks with n leaves and k reticulations."""
+    _check_params(d, n, k)
     found: dict[bytes, PhyloNetwork] = {}
 
     def emit(net: PhyloNetwork) -> None:
@@ -928,6 +905,7 @@ def count_tc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
     """|enumerate_tc| keeping only canonical keys."""
+    _check_params(d, n, k)
     keys: set[bytes] = set()
     _tc_search(d, n, k, budget, lambda net: keys.add(canonical_key(net)))
     return len(keys)

@@ -67,7 +67,7 @@ def test_criterion_03_one_component_oracle():
         n_hi = 5 if d in (2, 3) else 4
         for n in range(1, n_hi + 1):
             for k in range(n):
-                got = nw.count_otc_networks(d, n, k, budget=10**8, workers=2)
+                got = nw.count_otc_networks(d, n, k, budget=10**8)
                 want = exact.otc_count(d, n, k)
                 ok &= got == want
                 cells += 1

@@ -111,6 +111,37 @@ def test_exit_codes():
     assert cli.main(["count", "b", "--d", "2", "--n", "3"]) == 2
 
 
+@pytest.mark.parametrize("one_component", [False, True])
+@pytest.mark.parametrize(
+    "d,n,k", [("1", "3", "1"), ("2", "0", "0"), ("2", "3", "-1"), ("2", "3", "3")]
+)
+def test_enumerate_networks_bad_parameters(capsys, one_component, d, n, k):
+    argv = ["enumerate", "networks", "--d", d, "--n", n, "--k", k,
+            "--format", "count"] + (["--one-component"] if one_component else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "bad parameters" in captured.err
+
+
+def test_one_component_budget_exceeded(capsys):
+    code = cli.main(["enumerate", "networks", "--d", "2", "--n", "4", "--k", "2",
+                     "--one-component", "--format", "count", "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("budget exceeded:")
+
+
+def test_dist_without_n_is_a_usage_error(capsys):
+    assert cli.main(["dist", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dist requires --n unless --exploratory is given\n"
+    assert cli.main(["dist", "--d", "2", "--exploratory", "words"]) == 0
+
+
 def test_byte_determinism(capsys):
     first = run(capsys, "enumerate", "networks", "--d", "2", "--n", "3",
                 "--k", "1", "--format", "json")

@@ -203,9 +203,41 @@ def test_canonical_key_separates_leaf_relabelings():
     assert nw.canonical_key(net2) != nw.canonical_key(net)
 
 
-def test_count_otc_independent_of_worker_count():
-    assert nw.count_otc_networks(3, 4, 3, workers=1) == \
-        nw.count_otc_networks(3, 4, 3, workers=2) == exact.otc_count(3, 4, 3)
+def test_otc_generator_builds_each_network_once():
+    # orderly generation: the generator alone, with no dedup, must yield the
+    # formula's count of pairwise distinct coordinates
+    for d in (2, 3, 4, 5):
+        for n in range(1, (4 if d <= 3 else 3) + 1):
+            for k in range(n):
+                coords = list(nw._otc_coords(d, n, k, nw.DEFAULT_NETWORK_BUDGET))
+                assert len(coords) == exact.otc_count(d, n, k), (d, n, k)
+                assert len(set(coords)) == len(coords), (d, n, k)
+
+
+def test_otc_budget_counts_insertions():
+    # every network with n-k+j leaves and j reticulations is built once on
+    # the way down, so that many insertions fit and one fewer does not
+    d, n, k = 3, 4, 3
+    insertions = sum(exact.otc_count(d, n - k + j, j) for j in range(1, k + 1))
+    assert nw.count_otc_networks(d, n, k, budget=insertions) == exact.otc_count(d, n, k)
+    for fn in (nw.count_otc_networks, nw.enumerate_otc):
+        with pytest.raises(nw.BudgetExceeded):
+            fn(d, n, k, budget=insertions - 1)
+        with pytest.raises(nw.BudgetExceeded):
+            fn(d, n, k, budget=10)
+
+
+BAD_PARAMS = [(1, 3, 1), (2, 0, 0), (2, 3, -1), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("d,n,k", BAD_PARAMS)
+@pytest.mark.parametrize(
+    "fn",
+    [nw.enumerate_tc, nw.count_tc_networks, nw.enumerate_otc, nw.count_otc_networks],
+)
+def test_network_enumerators_reject_bad_parameters(fn, d, n, k):
+    with pytest.raises(ValueError, match="bad parameters"):
+        fn(d, n, k)
 
 
 @pytest.mark.parametrize(
