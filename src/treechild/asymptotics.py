@@ -19,6 +19,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from .distributions import modified_bessel_i
 from .words import c_log_sequence
 
 _LOG2 = math.log(2.0)
@@ -170,19 +171,22 @@ def params(d: int) -> AsymptoticParams:
     )
 
 
-def mu(d: int, n: int, m: int) -> float:
-    den = (d + 1) * n + (d - 1) * m - 2 * (d + 1)
-    if den == 0:
-        raise ZeroDivisionError(f"mu pole at d={d}, n={n}, m={m}")
-    return 1.0 + 2.0 * (d - 1) / den
+def mu(d: int, n: int, m):
+    """Coefficient of e_{n-1,m+1}; m may be an int or an integer ndarray."""
+    try:
+        return 1.0 + 2.0 * (d - 1) / ((d + 1) * n + (d - 1) * m - 2 * (d + 1))
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"mu pole at d={d}, n={n}, m={m}") from None
 
 
-def nu(d: int, n: int, m: int) -> float:
-    if n + m == 0:
-        raise ZeroDivisionError(f"nu pole at d={d}, n={n}, m={m}")
+def nu(d: int, n: int, m):
+    """Coefficient of e_{n-1,m-1}; m may be an int or an integer ndarray."""
     out = 1.0
-    for i in range(2, d + 1):
-        out *= 1.0 - 2.0 * (m + i) / ((d + 1) * (n + m))
+    try:
+        for i in range(2, d + 1):
+            out *= 1.0 - 2.0 * (m + i) / ((d + 1) * (n + m))
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"nu pole at d={d}, n={n}, m={m}") from None
     return out
 
 
@@ -234,10 +238,8 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     for n in range(3, n_max + 1):
         hi = min(n, size - 2)
         m = np.arange(0, hi + 1)
-        mu_v = 1.0 + 2.0 * (d - 1) / ((d + 1) * n + (d - 1) * m - 2 * (d + 1))
-        nu_v = np.ones(hi + 1)
-        for i in range(2, d + 1):
-            nu_v *= 1.0 - 2.0 * (m + i) / ((d + 1) * (n + m))
+        mu_v = mu(d, n, m)
+        nu_v = nu(d, n, m)
         if np.any(nu_v[: max(n - 1, 1)] <= 0.0):
             raise ArithmeticError(f"negative coefficient in row n={n}")
         new = np.zeros(size)
@@ -296,7 +298,7 @@ def otc_total_asymptotic(d: int, n: int) -> float:
             - 2.25 * math.log(n)
         )
     if d == 3:
-        const = _bessel_i1_at_2() * math.sqrt(3.0) / (9.0 * math.pi)
+        const = modified_bessel_i(1, 2.0) * math.sqrt(3.0) / (9.0 * math.pi)
         return (
             math.log(const)
             + 3.0 * math.lgamma(n + 1)
@@ -313,17 +315,6 @@ def otc_total_asymptotic(d: int, n: int) -> float:
         + n * (d * math.log(d) - math.lgamma(d + 1))
         - 1.5 * (d - 1) * math.log(n)
     )
-
-
-def _bessel_i1_at_2() -> float:
-    # I_1(2) = sum_k 1/(k! (k+1)!)
-    s = 0.0
-    term = 1.0
-    for k in range(0, 40):
-        if k:
-            term /= k * (k + 1)
-        s += term
-    return s
 
 
 # ---------------------------------------------------------------------------

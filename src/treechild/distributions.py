@@ -10,13 +10,12 @@ work happens in log space from the counting formula.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CountTable, otc_count_log
+from .exact import CountTable, _check_params, otc_count_log
 
 
 @dataclass
@@ -60,6 +59,7 @@ def _log_norm(logs: np.ndarray) -> np.ndarray:
 
 def r_pmf(d: int, n: int) -> Pmf:
     """P(R = k) proportional to the one-component count with k reticulations."""
+    _check_params(d, n)
     logs = np.array([otc_count_log(d, n, k) for k in range(n)])
     return Pmf(d=d, n=n, log_probs=_log_norm(logs))
 
@@ -195,7 +195,3 @@ def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:
             }
         )
     return {"d": 2, "n": n, "comparison": rows}
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report)

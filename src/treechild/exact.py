@@ -19,8 +19,6 @@ from enum import Enum
 
 class Provenance(Enum):
     FORMULA = "formula"
-    RECURRENCE = "recurrence"
-    BRUTE_FORCE = "brute_force"
     PAPER_FIXTURE = "paper_fixture"
 
 

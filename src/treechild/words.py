@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, islice
 from typing import Iterator
 
 import numpy as np
@@ -47,9 +47,13 @@ def word_to_str(w: Word, n: int) -> str:
     return ",".join(str(x) for x in w)
 
 
-def _check_multiset(w: Word, d: int) -> int:
+def _check_d(d: int) -> None:
     if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+        raise ValueError(f"multiplicity d must be >= 2, got {d}")
+
+
+def _check_multiset(w: Word, d: int) -> int:
+    _check_d(d)
     length = len(w)
     if length == 0 or length % (d + 1) != 0:
         raise MalformedWordError(
@@ -69,6 +73,23 @@ def _check_multiset(w: Word, d: int) -> int:
     return n
 
 
+def _violation(occ: list[int], x: int, d: int) -> tuple[int, int] | None:
+    """Dominance witness (i, j) created by the count of letter x rising.
+
+    occ[1..n] are the letter counts of a prefix whose last letter is x and
+    whose shorter prefixes are all members; only pairs involving x can be
+    new violations.  Returns None when the prefix is still a member.
+    """
+    if occ[x] >= d - 1:
+        for j in range(x + 1, len(occ)):
+            if occ[j] > occ[x]:
+                return x, j
+    for i in range(1, x):
+        if d - 1 <= occ[i] < occ[x]:
+            return i, x
+    return None
+
+
 def first_violation(w: Word, d: int) -> tuple[int, int, int] | None:
     """First prefix failing the dominance rule, as (prefix_len, i, j).
 
@@ -77,17 +98,12 @@ def first_violation(w: Word, d: int) -> tuple[int, int, int] | None:
     Returns None for members.  Raises MalformedWordError on a bad multiset.
     """
     n = _check_multiset(w, d)
-    occ = [0] * (n + 2)
+    occ = [0] * (n + 1)
     for pos, x in enumerate(w, start=1):
         occ[x] += 1
-        # only letters whose count just changed can newly violate
-        if occ[x] >= d - 1:
-            for j in range(x + 1, n + 1):
-                if occ[j] > occ[x]:
-                    return pos, x, j
-        for i in range(1, x):
-            if occ[i] >= d - 1 and occ[i] < occ[x]:
-                return pos, i, x
+        hit = _violation(occ, x, d)
+        if hit is not None:
+            return (pos, *hit)
     return None
 
 
@@ -96,32 +112,19 @@ def is_member(w: Word, d: int) -> bool:
     return first_violation(w, d) is None
 
 
-def enumerate_words(
-    d: int, n: int, budget: int = DEFAULT_WORD_BUDGET
-) -> Iterator[Word]:
-    """All members on n letters in lexicographic order.
+def _walk(d: int, mult: list[int], budget: int, name: str) -> Iterator[Word]:
+    """Members with letter x occurring mult[x] times, lexicographically.
 
-    Prefix-pruned backtracking: a branch is abandoned as soon as its
-    prefix violates the dominance rule, so the search touches exactly the
-    valid prefixes.  budget caps the number of letter placements tried.
+    Prefix-pruned backtracking under the dominance rule for d: a branch is
+    abandoned as soon as its prefix violates the rule, so the search
+    touches exactly the valid prefixes.  budget caps the number of letter
+    placements tried; name labels the BudgetExceeded message.
     """
-    if d < 2 or n < 1:
-        raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-    length = n * (d + 1)
-    occ = [0] * (n + 2)
+    n = len(mult) - 1
+    length = sum(mult)
+    occ = [0] * (n + 1)
     prefix: list[int] = []
     steps = 0
-
-    def extend_ok(x: int) -> bool:
-        # occ[x] has already been incremented for the tentative letter
-        if occ[x] >= d - 1:
-            for j in range(x + 1, n + 1):
-                if occ[j] > occ[x]:
-                    return False
-        for i in range(1, x):
-            if occ[i] >= d - 1 and occ[i] < occ[x]:
-                return False
-        return True
 
     def walk() -> Iterator[Word]:
         nonlocal steps
@@ -129,21 +132,31 @@ def enumerate_words(
             yield tuple(prefix)
             return
         for x in range(1, n + 1):
-            if occ[x] == d + 1:
+            if occ[x] == mult[x]:
                 continue
             steps += 1
             if steps > budget:
-                raise BudgetExceeded(
-                    f"enumerate_words(d={d}, n={n}) exceeded {budget} steps"
-                )
+                raise BudgetExceeded(f"{name} exceeded {budget} steps")
             occ[x] += 1
             prefix.append(x)
-            if extend_ok(x):
+            if _violation(occ, x, d) is None:
                 yield from walk()
             prefix.pop()
             occ[x] -= 1
 
     return walk()
+
+
+def enumerate_words(
+    d: int, n: int, budget: int = DEFAULT_WORD_BUDGET
+) -> Iterator[Word]:
+    """All members on n letters in lexicographic order.
+
+    budget caps the number of letter placements tried.
+    """
+    if d < 2 or n < 1:
+        raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    return _walk(d, [0] + [d + 1] * n, budget, f"enumerate_words(d={d}, n={n})")
 
 
 def suffix_index(w: Word, d: int) -> int:
@@ -201,20 +214,29 @@ class BTable:
         return json.dumps(payload)
 
 
+def _b_rows(d: int) -> Iterator[list[int]]:
+    """Rows [0, b(n,1), ..., b(n,n)] of the b-table for n = 1, 2, ...
+
+    Integer-only: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j), so row n
+    is the prefix sums of row n-1 (with b(n-1,n) = 0), scaled in place to
+    hold no third row of big integers.
+    """
+    _check_d(d)
+    row = [0, 1]  # b(1,1) = 1
+    while True:
+        yield row
+        n = len(row)
+        row = list(accumulate(row))
+        row.append(row[-1])
+        for m in range(1, n + 1):
+            row[m] *= math.comb(d * n + m - 2, d - 1)
+
+
 def b_table_int(d: int, n_max: int) -> BTable:
     """Integer-only dynamic program: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows: list[list[int]] = [[], [0, 1]]  # b(1,1) = 1
-    for n in range(2, n_max + 1):
-        prev = rows[n - 1]
-        row = [0] * (n + 1)
-        acc = 0
-        for m in range(1, n + 1):
-            if m < len(prev):
-                acc += prev[m]
-            row[m] = binomial(d * n + m - 2, d - 1) * acc
-        rows.append(row)
+    rows: list[list[int]] = [[], *islice(_b_rows(d), n_max)]
     return BTable(d=d, n_max=n_max, rows=rows)
 
 
@@ -225,6 +247,7 @@ def b_table_rational(d: int, n_max: int) -> BTable:
     Every entry must come out integral; a fractional entry signals a
     transcription bug and raises ArithmeticError.
     """
+    _check_d(d)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows: list[list[Fraction]] = [[], [Fraction(0), Fraction(1)]]
@@ -256,7 +279,7 @@ def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return b_table_int(d, n).c(n)
+    return sum(next(islice(_b_rows(d), n - 1, None)))
 
 
 def tc_max_count(d: int, n: int) -> int:
@@ -277,23 +300,14 @@ def bnn_identity_check(d: int, n: int) -> bool:
 def c_log_sequence(d: int, n_max: int) -> np.ndarray:
     """ln c_n for n = 1..n_max, exact integer rows with O(row) memory.
 
-    Row n only needs row n-1 (prefix sums), so the full triangular table
-    is never held; entry [0] of the result is NaN padding.
+    Only the current b-table row is held; entry [0] of the result is NaN
+    padding.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = np.full(n_max + 1, np.nan)
-    prev = [0, 1]
-    out[1] = 0.0
-    for n in range(2, n_max + 1):
-        row = [0] * (n + 1)
-        acc = 0
-        for m in range(1, n + 1):
-            if m < len(prev):
-                acc += prev[m]
-            row[m] = binomial(d * n + m - 2, d - 1) * acc
-        out[n] = math.log(sum(row[1:]))
-        prev = row
+    for n, row in zip(range(1, n_max + 1), _b_rows(d)):
+        out[n] = math.log(sum(row))
     return out
 
 
@@ -306,72 +320,16 @@ def tc_max_count_log(d: int, n: int, log_c: np.ndarray | None = None) -> float:
     return math.lgamma(n + 1) + float(log_c[n - 1])
 
 
-def cnk_words_count(
-    n: int,
-    k: int,
-    budget: int = DEFAULT_WORD_BUDGET,
-    tripled: str = "first",
-) -> int:
-    """Exploratory d=2 word count with k letters tripled, n-k doubled.
+def cnk_words_count(n: int, k: int, budget: int = DEFAULT_WORD_BUDGET) -> int:
+    """Exploratory d=2 word count with letters 1..k tripled, the rest doubled.
 
     The prefix rule is the d=2 dominance rule; only the multiplicities
-    change.  Which k letters carry three occurrences is a free choice in
-    the class description; "first" triples letters 1..k, which is the only
-    reading that admits any words at all (a doubled letter smaller than a
-    tripled one violates dominance at the full word), so "any" gives the
-    same count by summation.  Report-only; nothing asserts on this.
+    change.  Tripling letters 1..k is the only choice of k letters that
+    admits any words at all (a doubled letter smaller than a tripled one
+    violates dominance at the full word).  Report-only; nothing asserts on
+    this.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if tripled == "first":
-        subsets = [tuple(range(1, k + 1))]
-    elif tripled == "last":
-        subsets = [tuple(range(n - k + 1, n + 1))]
-    elif tripled == "any":
-        subsets = list(combinations(range(1, n + 1), k))
-    else:
-        raise ValueError(f"tripled must be 'first', 'any' or 'last', got {tripled!r}")
-
-    steps = 0
-    total = 0
-    for subset in subsets:
-        mult = [0] + [2] * n
-        for x in subset:
-            mult[x] = 3
-        length = sum(mult)
-        occ = [0] * (n + 2)
-        prefix_len = 0
-
-        def ok(x: int) -> bool:
-            if occ[x] >= 1:  # d-2 = 0 for d = 2
-                for j in range(x + 1, n + 1):
-                    if occ[j] > occ[x]:
-                        return False
-            for i in range(1, x):
-                if occ[i] >= 1 and occ[i] < occ[x]:
-                    return False
-            return True
-
-        def walk() -> int:
-            nonlocal steps, prefix_len
-            if prefix_len == length:
-                return 1
-            found = 0
-            for x in range(1, n + 1):
-                if occ[x] == mult[x]:
-                    continue
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded(
-                        f"cnk_words_count(n={n}, k={k}) exceeded {budget} steps"
-                    )
-                occ[x] += 1
-                prefix_len += 1
-                if ok(x):
-                    found += walk()
-                prefix_len -= 1
-                occ[x] -= 1
-            return found
-
-        total += walk()
-    return total
+    mult = [0] + [3] * k + [2] * (n - k)
+    return sum(1 for _ in _walk(2, mult, budget, f"cnk_words_count(n={n}, k={k})"))

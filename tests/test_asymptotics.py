@@ -69,6 +69,19 @@ def test_mu_nu():
     assert asym.nu(2, 10, 4) == pytest.approx(1 - 12 / (3 * 14))
     with pytest.raises(ZeroDivisionError):
         asym.mu(2, 2, 0)
+    with pytest.raises(ZeroDivisionError):
+        asym.nu(2, 0, 0)
+
+
+def test_mu_nu_on_arrays_equal_scalar_calls():
+    # e_sequence evaluates whole rows through the same mu and nu
+    for d in range(2, 7):
+        for n in (3, 4, 17, 399):
+            m = np.arange(0, n + 1)
+            mu_v, nu_v = asym.mu(d, n, m), asym.nu(d, n, m)
+            for j in range(n + 1):
+                assert mu_v[j] == asym.mu(d, n, j)
+                assert nu_v[j] == asym.nu(d, n, j)
 
 
 def test_e_sequence_boundary_and_parity():

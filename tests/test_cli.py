@@ -142,6 +142,38 @@ def test_dist_without_n_is_a_usage_error(capsys):
     assert cli.main(["dist", "--d", "2", "--exploratory", "words"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "c", "--d", "1", "--n", "3"],
+        ["count", "tcmax", "--d", "1", "--n", "4"],
+        ["count", "b", "--d", "0", "--n", "3", "--k", "1"],
+    ],
+)
+def test_b_table_commands_reject_small_d(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "d must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--d", "2", "--n", "0"],
+        ["dist", "--d", "2", "--n", "-3"],
+        ["dist", "--d", "2", "--n", "0", "--limit", "normal"],
+        ["dist", "--d", "3", "--n", "0", "--limit", "bessel"],
+        ["dist", "--d", "4", "--n", "0", "--limit", "degenerate"],
+    ],
+)
+def test_dist_rejects_nonpositive_n(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "leaf count n" in captured.err
+
+
 def test_byte_determinism(capsys):
     first = run(capsys, "enumerate", "networks", "--d", "2", "--n", "3",
                 "--k", "1", "--format", "json")

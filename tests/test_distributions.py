@@ -23,6 +23,12 @@ def test_r_pmf_normalizes(d, n):
     assert abs(total - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("d,n", [(2, 0), (2, -3), (1, 3)])
+def test_r_pmf_rejects_bad_parameters(d, n):
+    with pytest.raises(ValueError):
+        dist.r_pmf(d, n)
+
+
 def test_r_pmf_matches_exact_counts():
     for d, n in [(2, 6), (3, 5), (5, 4)]:
         pmf = dist.r_pmf(d, n)

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -308,6 +309,32 @@ def test_export_json_round_trip():
         payload = json.loads(data)
         assert payload["d"] == 3 and payload["n"] == 3 and payload["k"] == 2
         assert sorted(payload["leaf_labels"].values()) == [1, 2, 3]
+
+
+PROPERTY_CELLS = (
+    [(nw.enumerate_tc, 2, n, k) for n in (1, 2, 3) for k in range(n)]
+    + [(nw.enumerate_tc, 3, 3, k) for k in range(3)]
+    + [(nw.enumerate_otc, d, 4, k) for d in (2, 3) for k in range(4)]
+)
+
+
+@pytest.mark.parametrize(
+    "enumerate_fn,d,n,k", PROPERTY_CELLS,
+    ids=[f"{fn.__name__}-d{d}-n{n}-k{k}" for fn, d, n, k in PROPERTY_CELLS],
+)
+def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
+    # every network an oracle enumerates: random node renumberings keep the
+    # key and the exported bytes, and JSON round-trips to the same key
+    rng = random.Random(0)
+    for net in enumerate_fn(d, n, k):
+        key, data = nw.canonical_key(net), nw.to_json(net)
+        assert nw.canonical_key(nw.from_json(data)) == key
+        for _ in range(3):
+            perm = list(range(net.num_nodes))
+            rng.shuffle(perm)
+            other = permuted(net, perm)
+            assert nw.canonical_key(other) == key
+            assert nw.to_json(other) == data
 
 
 def test_export_dot():

@@ -164,9 +164,39 @@ def test_cnk_words_count():
     assert words.cnk_words_count(3, 0) == 15
     assert words.cnk_words_count(3, 1) == 57
     assert words.cnk_words_count(3, 2) == 106
-    # tripling any other subset admits no words, so "any" agrees with "first"
-    assert words.cnk_words_count(3, 1, tripled="any") == 57
-    assert words.cnk_words_count(3, 1, tripled="last") == 0
+
+
+def test_only_the_first_letters_may_be_tripled():
+    # cnk_words_count triples letters 1..k because no other choice of k
+    # letters admits a word: for n=3, k=1 only the subset {1} does
+    def count(mult):
+        return sum(1 for _ in words._walk(2, mult, words.DEFAULT_WORD_BUDGET, "t"))
+
+    assert count([0, 3, 2, 2]) == 57
+    assert count([0, 2, 3, 2]) == 0
+    assert count([0, 2, 2, 3]) == 0
+
+
+def test_c_count_matches_b_table():
+    for d in range(2, 6):
+        for n in range(1, 9):
+            assert words.c_count(d, n) == words.b_table_int(d, n).c(n), (d, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: words.c_count(1, 3),
+        lambda: words.tc_max_count(1, 4),
+        lambda: words.b_table_int(0, 3),
+        lambda: words.b_table_rational(1, 3),
+        lambda: words.c_log_sequence(1, 5),
+        lambda: words.bnn_identity_check(1, 3),
+    ],
+)
+def test_b_table_entry_points_reject_small_d(call):
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        call()
 
 
 def test_c_log_sequence_matches_exact():
