@@ -1,10 +1,12 @@
 """Brute-force network enumeration as ground truth.
 
-One-component networks are grown by inserting a reticulation with d parent
-stubs into candidate edges of a smaller network, always with a label above
-every existing reticulation label, so each is built exactly once; general
-tree-child networks come from degree-constrained backtracking, deduplicated
-by a canonical key.  Both are oracles for the counting formulas.
+Every tree-child network is generated exactly once from its tree
+components: the leaf labels split into blocks, a tree on each block, and
+the reticulations inserted in order of name, each with d parent stubs in
+the components that its own component cannot reach.  One-component networks
+are the restriction where each reticulation sits over a single leaf and all
+stubs lie in the root component.  Both classes are oracles for the counting
+formulas and the reference tables.
 """
 
 from treechild import exact, networks as nw
@@ -40,8 +42,8 @@ keys = {nw.canonical_key(nw.ret_insertion(tree, fe)) for fe in nw.free_edges(tre
 print(f"  {len(nw.free_edges(tree))} free edges -> {len(keys)} distinct networks")
 
 print()
-print("Filtering the general enumeration to one-component networks recovers")
-print("the closed formula, an independent route:")
+print("Filtering the general enumeration with the node-level one-component")
+print("check recovers the closed formula:")
 for d, n, k in [(2, 4, 2), (3, 3, 2)]:
     nets = nw.enumerate_tc(d, n, k)
     one_comp = sum(1 for x in nets if nw.is_one_component(x))

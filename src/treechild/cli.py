@@ -332,12 +332,18 @@ def _cmd_verify(args) -> int:
 def _cmd_dist(args) -> int:
     params = {"d": args.d, "n": args.n}
     if args.exploratory:
+        if args.d != 2:
+            sys.stderr.write(f"--exploratory {args.exploratory} requires --d 2\n")
+            return 2
         if args.exploratory == "poisson":
             table = exact.appendix_table(2)
             n = args.n if args.n is not None and args.n in table.n_values else None
             report = dist.conjecture_poisson_report(table, n)
         else:  # words conjecture
             n = args.n if args.n is not None else 4
+            if n < 1:
+                sys.stderr.write("--exploratory words requires --n >= 1\n")
+                return 2
             rows = []
             table = exact.appendix_table(2)
             for k in range(n):

@@ -41,7 +41,7 @@ class Pmf:
     def to_csv(self) -> str:
         lines = ["k,log_prob"]
         for k in self.support:
-            lines.append(f"{k},{self.log_probs[k]!r}")
+            lines.append(f"{k},{float(self.log_probs[k])!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -8,25 +8,28 @@ in the counting proofs, canonicalization up to label-preserving isomorphism,
 and exhaustive enumerators whose cardinalities are the ground truth against
 which formulas and reference tables are checked.
 
-One-component networks have a rigid decomposition that drives the fast
-canonical form: deleting every reticulation together with its leaf child and
-suppressing the resulting degree-2 nodes leaves a phylogenetic "base" tree;
-the deleted material is recorded as a stack of reticulation labels on each
-base-tree edge (top-to-bottom order is structural).  Networks are in
-bijection with (base tree, stacks) pairs, so nested tuples of ints act as a
-canonical key and the insertion step becomes cheap tuple surgery.  Their
-enumeration is orderly: the parent of a network is the one left by deleting
-its largest reticulation label, so growing only with labels above every
-existing reticulation label builds each network exactly once, depth-first.
-General tree-child networks fall back to an invariant-plus-search
-canonicalization.
+Every tree-child network decomposes into tree components.  The root and
+each reticulation hang over a phylogenetic tree on a block of the leaf
+labels, and every tree node is either a branching node of one of those
+trees or a stub: a node with one reticulation child, recorded as that
+reticulation's name in a stack on a component edge (top-to-bottom order is
+structural).  A reticulation is named by the
+smallest label of its block.  A network is therefore a split of 1..n into
+blocks with one root block, a tree per block, and the stacks, with an
+acyclic component graph; the enumerators generate exactly this data, each
+network once, by inserting the reticulations in name order into the
+components that their own component cannot reach.  One-component networks
+are the case where every reticulation's block is one leaf and every stub
+sits in the root component; the nested tuples of their root component are
+their canonical key.  General tree-child networks are keyed by an
+invariant-plus-search canonicalization.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from .words import BudgetExceeded
 
@@ -222,17 +225,20 @@ def candidate_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical coordinates for one-component networks.
+# Component coordinates.
 #
-# node  = (0, label)            base-tree leaf
-#       | (1, edge_a, edge_b)   base-tree internal node, edge_a <= edge_b
-# edge  = (stack, node)         stack: tuple of reticulation labels along the
+# node  = (0, label)            component leaf
+#       | (1, edge_a, edge_b)   component branching node, edge_a <= edge_b
+# edge  = (stack, node)         stack: tuple of reticulation names along the
 #                               edge, top to bottom
-# coord = the root edge.
+# coord = the edge above one component's tree.
 #
-# Reticulations are identified by the label of their leaf child, so the pair
-# (base tree, stacks) determines the network up to label-preserving
-# isomorphism, and sorted tuples make the representation canonical.
+# A network's coordinates are the root component's coord followed by each
+# reticulation's, in name order.  Reticulations are named by the smallest
+# leaf label of their component, so the coordinates determine the network up
+# to label-preserving isomorphism, and sorted tuples make them canonical.
+# For a one-component network every reticulation's coord is a bare leaf, so
+# the root coord alone is its canonical coordinate.
 # ---------------------------------------------------------------------------
 
 Coord = tuple
@@ -254,17 +260,8 @@ def _coord_canon(coord: Coord) -> Coord:
     return (stack, _canon_node(node))
 
 
-def _coord_slot_count(coord: Coord) -> int:
-    """Number of candidate edges: one gap per stack position plus one."""
-    stack, node = coord
-    total = len(stack) + 1
-    if node[0] == 1:
-        total += _coord_slot_count(node[1]) + _coord_slot_count(node[2])
-    return total
-
-
 def _coord_labels(coord: Coord) -> tuple[set[int], set[int]]:
-    """(base leaf labels, reticulation labels)."""
+    """(leaf labels, reticulation names) of one component coord."""
     leaves: set[int] = set()
     rets: set[int] = set()
 
@@ -281,59 +278,20 @@ def _coord_labels(coord: Coord) -> tuple[set[int], set[int]]:
     return leaves, rets
 
 
-def _coord_insert(coord: Coord, placement: dict[int, int], new_label: int) -> Coord:
-    """Insert one reticulation: runs of new stubs at the chosen gaps.
+def _tree_coords(labels: list[int]) -> list[Coord]:
+    """All phylogenetic trees on the given leaf labels as coords (empty stacks).
 
-    placement maps candidate-slot index (preorder over edges, one slot per
-    gap in each stack) to the number of new parent stubs placed there; the
-    counts must sum to d.  Existing labels >= new_label shift up by one.
-    The result is re-canonicalized bottom-up.
+    Leaf-insertion generation: the j-th leaf subdivides any of the 2j-3
+    edges of a tree on the first j-1 leaves, producing every labeled tree
+    exactly once.
     """
-    shift = new_label
-
-    def relabel(x: int) -> int:
-        return x + 1 if x >= shift else x
-
-    def walk(edge, base: int):
-        stack, node = edge
-        m = len(stack)
-        new_stack: list[int] = []
-        for g in range(m + 1):
-            c = placement.get(base + g, 0)
-            if c:
-                new_stack.extend([new_label] * c)
-            if g < m:
-                new_stack.append(relabel(stack[g]))
-        base += m + 1
-        if node[0] == 0:
-            new_node = (0, relabel(node[1]))
-        else:
-            ea, base = walk(node[1], base)
-            eb, base = walk(node[2], base)
-            if eb < ea:
-                ea, eb = eb, ea
-            new_node = (1, ea, eb)
-        return (tuple(new_stack), new_node), base
-
-    new_coord, _ = walk(coord, 0)
-    return new_coord
-
-
-def _tree_coords(m: int) -> list[Coord]:
-    """All phylogenetic trees on leaves 1..m as coords (empty stacks).
-
-    Leaf-insertion generation: leaf j subdivides any of the 2j-3 edges of a
-    tree on j-1 leaves, producing every labeled tree exactly once.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one leaf, got {m}")
-    trees: list[Coord] = [((), (0, 1))]
-    for j in range(2, m + 1):
-        grown: list[Coord] = []
-        for tr in trees:
-            for pos in range(2 * (j - 1) - 1):
-                grown.append(_coord_canon(_subdivide_with_leaf(tr, pos, j)))
-        trees = grown
+    trees: list[Coord] = [((), (0, labels[0]))]
+    for j, label in enumerate(labels[1:], 2):
+        trees = [
+            _coord_canon(_subdivide_with_leaf(tr, pos, label))
+            for tr in trees
+            for pos in range(2 * j - 3)
+        ]
     return trees
 
 
@@ -360,9 +318,30 @@ def _subdivide_with_leaf(coord: Coord, pos: int, label: int):
     return new_coord
 
 
-def _coord_to_network(coord: Coord, d: int) -> PhyloNetwork:
-    """Expand coordinates back into an explicit node/edge network."""
-    leaves, ret_labels = _coord_labels(coord)
+def _attach(trees: tuple[Coord, ...], stacks: list[tuple[int, ...]]) -> tuple:
+    """Coordinates of trees whose edges, in preorder, carry the given stacks."""
+    it = iter(stacks)
+
+    def walk(node):
+        stack = next(it)
+        if node[0] == 1:
+            ea, eb = walk(node[1][1]), walk(node[2][1])
+            if eb < ea:
+                ea, eb = eb, ea
+            node = (1, ea, eb)
+        return (stack, node)
+
+    return tuple(walk(tree[1]) for tree in trees)
+
+
+def _coord_to_network(coord, d: int) -> PhyloNetwork:
+    """Expand network coordinates back into an explicit node/edge network.
+
+    coord is (root edge, reticulation edges...) as yielded by _tc_search.
+    The root component is walked first, then each reticulation's component
+    in name order; a reticulation node is numbered where it is first met.
+    """
+    root_edge, *components = coord
     roles: list[str] = [ROOT]
     edges: list[tuple[int, int]] = []
     leaf_label_pairs: list[tuple[int, int]] = []
@@ -372,18 +351,18 @@ def _coord_to_network(coord: Coord, d: int) -> PhyloNetwork:
         roles.append(role)
         return len(roles) - 1
 
-    def ret_of(label: int) -> int:
-        if label not in ret_node:
-            ret_node[label] = new_node(RET)
-        return ret_node[label]
+    def ret_of(name: int) -> int:
+        if name not in ret_node:
+            ret_node[name] = new_node(RET)
+        return ret_node[name]
 
     def walk(edge, parent: int) -> None:
         stack, node = edge
         u = parent
-        for lab in stack:
+        for name in stack:
             stub = new_node(TREE)
             edges.append((u, stub))
-            edges.append((stub, ret_of(lab)))
+            edges.append((stub, ret_of(name)))
             u = stub
         if node[0] == 0:
             leaf = new_node(LEAF)
@@ -395,11 +374,9 @@ def _coord_to_network(coord: Coord, d: int) -> PhyloNetwork:
             walk(node[1], v)
             walk(node[2], v)
 
-    walk(coord, 0)
-    for lab in sorted(ret_labels):
-        leaf = new_node(LEAF)
-        edges.append((ret_of(lab), leaf))
-        leaf_label_pairs.append((leaf, lab))
+    walk(root_edge, 0)
+    for edge in components:
+        walk(edge, ret_of(min(_coord_labels(edge)[0])))
     return PhyloNetwork(
         d=d,
         roles=tuple(roles),
@@ -563,7 +540,10 @@ def canonical_form(net: PhyloNetwork) -> PhyloNetwork:
     """Isomorphic copy with canonical node numbering (deterministic bytes)."""
     _require_valid(net)
     if _one_component_shaped(net):
-        return _coord_to_network(_network_to_coord(net), net.d)
+        root_edge = _network_to_coord(net)
+        rets = sorted(_coord_labels(root_edge)[1])
+        coord = (root_edge, *(((), (0, name)) for name in rets))
+        return _coord_to_network(coord, net.d)
     return _network_from_encoding(_general_canonical_bytes(net))
 
 
@@ -686,44 +666,96 @@ def _check_params(d: int, n: int, k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# One-component enumeration.
+# Enumeration over component coordinates.
 # ---------------------------------------------------------------------------
 
-def _otc_coords(d: int, n: int, k: int, budget: int):
-    """Yield the coordinates of every one-component network once, depth-first.
+def _set_partitions(n: int, m: int):
+    """Every partition of 1..n into m blocks; blocks ascend by smallest label."""
 
-    Orderly generation: the parent of a network is the network left by
-    deleting its largest reticulation label (its stubs and its leaf) and
-    shifting the labels above it down by one.  Children are therefore built
-    only with a new label above every reticulation label of the parent;
-    base-tree leaves are labeled, so distinct placements give distinct
-    children and no network is built twice.  The budget counts insertions.
+    def place(label: int, blocks: list[list[int]]):
+        if n - label + 1 < m - len(blocks):
+            return
+        if label > n:
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(label)
+            yield from place(label + 1, blocks)
+            b.pop()
+        if len(blocks) < m:
+            blocks.append([label])
+            yield from place(label + 1, blocks)
+            blocks.pop()
+
+    yield from place(1, [])
+
+
+def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False):
+    """Yield every tree-child network once, depth-first, as (trees, stacks).
+
+    A network is its tree components: the leaf labels split into k+1
+    blocks, one of them the root block, each block carrying a phylogenetic
+    tree with a stack of reticulation labels on every edge.  A reticulation
+    is named by the smallest label of its block.  The reticulations are
+    inserted in ascending name order, each putting its d stubs as a multiset
+    over the stack gaps of the components that its own component cannot
+    reach, so the component graph stays acyclic and every partial network
+    extends.  Blocks, trees and gaps are all labeled, so no network is
+    built twice.  One-component networks are the restriction to singleton
+    reticulation blocks with every stub in the root component.
+
+    trees holds the tree of each component, the root block first and then
+    the reticulations in name order; stacks holds the stack on every edge of
+    those trees in preorder, and _attach turns the pair into coordinates.
+    The budget counts insertions.
     """
+    fn = "enumerate_otc" if one_component else "enumerate_tc"
     built = 0
 
-    def grow(coord: Coord, top: int, leaves: int):
+    def grow(stacks: list[tuple[int, ...]], reach: list[int], i: int):
+        # inserts reticulation i into the block split that the loop below
+        # has set up: owner[a] is the component of edge a, and reach[j] is
+        # the bitmask of the components that component j reaches
         nonlocal built
-        if leaves == n:
-            yield coord
-            return
-        leaves += 1
-        slots = _coord_slot_count(coord)
-        for comb in combinations_with_replacement(range(slots), d):
-            placement: dict[int, int] = {}
-            for s in comb:
-                placement[s] = placement.get(s, 0) + 1
-            for label in range(top + 1, leaves + 1):
-                built += 1
-                if built > budget:
-                    raise BudgetExceeded(
-                        f"enumerate_otc(d={d}, n={n}, k={k}) exceeded "
-                        f"{budget} constructions"
-                    )
-                child = _coord_insert(coord, placement, label)
-                yield from grow(child, label, leaves)
+        blocked = ~1 if one_component else reach[i]  # ~1: all but the root
+        slots = [
+            (a, g)
+            for a, j in enumerate(owner)
+            if not blocked >> j & 1
+            for g in range(len(stacks[a]) + 1)
+        ]
+        name = (names[i - 1],)
+        for comb in combinations_with_replacement(slots, d):
+            built += 1
+            if built > budget:
+                raise BudgetExceeded(
+                    f"{fn}(d={d}, n={n}, k={k}) exceeded {budget} insertions"
+                )
+            child = stacks[:]
+            fed = 0
+            for a, g in reversed(comb):
+                child[a] = child[a][:g] + name + child[a][g:]
+                fed |= 1 << owner[a]
+            if i == k:
+                yield trees, child
+            else:
+                grown = [r | reach[i] if r & fed else r for r in reach]
+                yield from grow(child, grown, i + 1)
 
-    for tree in _tree_coords(n - k):
-        yield from grow(tree, 0, n - k)
+    for blocks in _set_partitions(n, k + 1):
+        for r, root_block in enumerate(blocks):
+            rets = blocks[:r] + blocks[r + 1:]
+            if one_component and any(len(b) > 1 for b in rets):
+                continue
+            names = [b[0] for b in rets]
+            components = [root_block] + rets
+            owner = [j for j, b in enumerate(components) for _ in range(2 * len(b) - 1)]
+            empty = [()] * len(owner)
+            for trees in product(*map(_tree_coords, components)):
+                if k == 0:
+                    yield trees, empty
+                else:
+                    yield from grow(empty, [1 << j for j in range(k + 1)], 1)
 
 
 def count_otc_networks(
@@ -731,7 +763,7 @@ def count_otc_networks(
 ) -> int:
     """|enumerate_otc|, counting coordinates as they are generated."""
     _check_params(d, n, k)
-    return sum(1 for _ in _otc_coords(d, n, k, budget))
+    return sum(1 for _ in _tc_search(d, n, k, budget, True))
 
 
 def enumerate_otc(
@@ -739,176 +771,33 @@ def enumerate_otc(
 ) -> list[PhyloNetwork]:
     """All one-component networks with n leaves and k reticulations.
 
-    Seeds with every phylogenetic tree on n-k leaves and applies the
-    reticulation-and-leaf insertion k times, each time with a label above
-    every existing reticulation label, so that each network is built from
-    its unique parent only; the result is sorted by canonical key.
+    Every reticulation block is one leaf and every stub sits in the root
+    component; the result is sorted by coordinates, i.e. by canonical key.
     """
     _check_params(d, n, k)
-    return [_coord_to_network(c, d) for c in sorted(_otc_coords(d, n, k, budget))]
-
-
-# ---------------------------------------------------------------------------
-# General tree-child enumeration by degree-constrained backtracking.
-# ---------------------------------------------------------------------------
-
-def _tc_search(d: int, n: int, k: int, budget: int, emit) -> None:
-    """Backtrack over child assignments for the fixed node inventory.
-
-    Nodes: 0 root, 1..t tree, then k reticulations, then n leaves (labeled
-    by id order).  Out-slots are processed owner-major; each assignment
-    respects degrees, simplicity, the tree-child conditions, acyclicity
-    (incremental reachability bitmasks), and two symmetry breaks: a new
-    (indegree-0) tree or reticulation target must be the lowest unused id
-    of its kind, and the two children of a tree node are chosen in
-    increasing id order.  Residual isomorphs are removed by the caller via
-    canonical keys.
-    """
-    t = n + (d - 1) * k - 1
-    num = 1 + t + k + n
-    tree_lo, tree_hi = 1, t  # inclusive
-    ret_lo, ret_hi = t + 1, t + k
-    leaf_lo = t + k + 1
-
-    roles = (
-        [ROOT]
-        + [TREE] * t
-        + [RET] * k
-        + [LEAF] * n
-    )
-    cap = [0] + [1] * t + [d] * k + [1] * n
-
-    # slots[i] = (owner, first_sibling_slot or -1)
-    slots: list[tuple[int, int]] = [(0, -1)]
-    for u in range(1, t + 1):
-        slots.append((u, -1))
-        slots.append((u, len(slots) - 1))
-    for r in range(ret_lo, ret_hi + 1):
-        slots.append((r, -1))
-    total_slots = len(slots)
-
-    # suffix count of slots owned by tree nodes (only they may feed rets)
-    tree_slots_after = [0] * (total_slots + 1)
-    for i in range(total_slots - 1, -1, -1):
-        owner = slots[i][0]
-        tree_slots_after[i] = tree_slots_after[i + 1] + (
-            1 if tree_lo <= owner <= tree_hi else 0
-        )
-
-    indeg = [0] * num
-    reach = [1 << i for i in range(num)]  # bitmask of nodes reachable from i
-    chosen = [-1] * total_slots
-    ret_demand = d * k
-    steps = 0
-
-    def assign(idx: int) -> None:
-        nonlocal ret_demand, steps
-        if idx == total_slots:
-            edges = tuple(
-                sorted((slots[i][0], chosen[i]) for i in range(total_slots))
-            )
-            leaf_labels = tuple(
-                (leaf_lo + i, i + 1) for i in range(n)
-            )
-            emit(
-                PhyloNetwork(
-                    d=d,
-                    roles=tuple(roles),
-                    edges=edges,
-                    leaf_labels=leaf_labels,
-                )
-            )
-            return
-        owner, first_slot = slots[idx]
-        owner_is_tree = tree_lo <= owner <= tree_hi
-        first_choice = chosen[first_slot] if first_slot >= 0 else -1
-        lowest_new_tree = next(
-            (v for v in range(tree_lo, tree_hi + 1) if indeg[v] == 0), -1
-        )
-        lowest_new_ret = next(
-            (v for v in range(ret_lo, ret_hi + 1) if indeg[v] == 0), -1
-        )
-        start = first_choice + 1 if first_slot >= 0 else 1
-        for v in range(start, num):
-            if indeg[v] >= cap[v] or v == owner:
-                continue
-            is_ret = ret_lo <= v <= ret_hi
-            if is_ret:
-                if not owner_is_tree:
-                    continue  # root and reticulations never feed a reticulation
-                if first_slot >= 0 and ret_lo <= first_choice <= ret_hi:
-                    continue  # tree node needs one non-reticulation child
-                if indeg[v] == 0 and v != lowest_new_ret:
-                    continue
-            elif tree_lo <= v <= tree_hi:
-                if indeg[v] == 0 and v != lowest_new_tree:
-                    continue
-            if owner == 0 and t >= 1 and v != lowest_new_tree:
-                continue  # root edge must open the tree part
-            if (reach[v] >> owner) & 1:
-                continue  # would close a cycle
-            new_ret_demand = ret_demand - 1 if is_ret else ret_demand
-            remaining_tree_slots = tree_slots_after[idx + 1]
-            if new_ret_demand > remaining_tree_slots:
-                continue
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(
-                    f"enumerate_tc(d={d}, n={n}, k={k}) exceeded {budget} steps"
-                )
-            # apply
-            indeg[v] += 1
-            chosen[idx] = v
-            old_ret_demand = ret_demand
-            ret_demand = new_ret_demand
-            saved = reach[:]
-            rv = reach[v]
-            for x in range(num):
-                if (reach[x] >> owner) & 1:
-                    reach[x] |= rv
-            assign(idx + 1)
-            reach[:] = saved
-            ret_demand = old_ret_demand
-            chosen[idx] = -1
-            indeg[v] -= 1
-
-    if num == 2:  # single leaf under the root
-        emit(
-            PhyloNetwork(
-                d=d,
-                roles=(ROOT, LEAF),
-                edges=((0, 1),),
-                leaf_labels=((1, 1),),
-            )
-        )
-        return
-    assign(0)
+    coords = sorted(_attach(*s) for s in _tc_search(d, n, k, budget, True))
+    return [_coord_to_network(c, d) for c in coords]
 
 
 def enumerate_tc(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> list[PhyloNetwork]:
-    """All tree-child networks with n leaves and k reticulations."""
+    """All tree-child networks with n leaves and k reticulations.
+
+    Each network is built once from its component coordinates; the result
+    is sorted by canonical key.
+    """
     _check_params(d, n, k)
-    found: dict[bytes, PhyloNetwork] = {}
-
-    def emit(net: PhyloNetwork) -> None:
-        key = canonical_key(net)
-        if key not in found:
-            found[key] = net
-
-    _tc_search(d, n, k, budget, emit)
-    return [found[key] for key in sorted(found)]
+    nets = [_coord_to_network(_attach(*s), d) for s in _tc_search(d, n, k, budget)]
+    return sorted(nets, key=canonical_key)
 
 
 def count_tc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_tc| keeping only canonical keys."""
+    """|enumerate_tc|, counting coordinates as they are generated."""
     _check_params(d, n, k)
-    keys: set[bytes] = set()
-    _tc_search(d, n, k, budget, lambda net: keys.add(canonical_key(net)))
-    return len(keys)
+    return sum(1 for _ in _tc_search(d, n, k, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,24 @@ def test_dist_rejects_nonpositive_n(capsys, argv):
     assert captured.err.count("\n") == 1 and "leaf count n" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--d", "5", "--n", "8", "--exploratory", "poisson"],
+        ["dist", "--d", "3", "--exploratory", "poisson"],
+        ["dist", "--d", "3", "--n", "4", "--exploratory", "words"],
+        ["dist", "--d", "2", "--n", "-2", "--exploratory", "words"],
+        ["dist", "--d", "2", "--n", "0", "--exploratory", "words"],
+    ],
+)
+def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
+    # both exploratory reports are statements about d=2
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--exploratory" in captured.err
+
+
 def test_byte_determinism(capsys):
     first = run(capsys, "enumerate", "networks", "--d", "2", "--n", "3",
                 "--k", "1", "--format", "json")

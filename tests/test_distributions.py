@@ -128,3 +128,8 @@ def test_pmf_csv_dump():
     csv = pmf.to_csv()
     assert csv.splitlines()[0] == "k,log_prob"
     assert len(csv.splitlines()) == 5
+    # every row is a plain number that parses back to the exact value
+    for k, line in enumerate(csv.splitlines()[1:]):
+        index, value = line.split(",")
+        assert int(index) == k
+        assert float(value) == float(pmf.log_probs[k])

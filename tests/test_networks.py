@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -204,28 +205,109 @@ def test_canonical_key_separates_leaf_relabelings():
     assert nw.canonical_key(net2) != nw.canonical_key(net)
 
 
+def coords(d, n, k, one_component=False):
+    """What the component generator alone yields, as coordinates."""
+    return [
+        nw._attach(*state)
+        for state in nw._tc_search(d, n, k, nw.DEFAULT_NETWORK_BUDGET, one_component)
+    ]
+
+
 def test_otc_generator_builds_each_network_once():
-    # orderly generation: the generator alone, with no dedup, must yield the
-    # formula's count of pairwise distinct coordinates
+    # the one-component restriction of the generator, with no dedup, must
+    # yield the formula's count of pairwise distinct coordinates
     for d in (2, 3, 4, 5):
         for n in range(1, (4 if d <= 3 else 3) + 1):
             for k in range(n):
-                coords = list(nw._otc_coords(d, n, k, nw.DEFAULT_NETWORK_BUDGET))
-                assert len(coords) == exact.otc_count(d, n, k), (d, n, k)
-                assert len(set(coords)) == len(coords), (d, n, k)
+                got = coords(d, n, k, one_component=True)
+                assert len(got) == exact.otc_count(d, n, k), (d, n, k)
+                assert len(set(got)) == len(got), (d, n, k)
 
 
-def test_otc_budget_counts_insertions():
-    # every network with n-k+j leaves and j reticulations is built once on
-    # the way down, so that many insertions fit and one fewer does not
-    d, n, k = 3, 4, 3
-    insertions = sum(exact.otc_count(d, n - k + j, j) for j in range(1, k + 1))
-    assert nw.count_otc_networks(d, n, k, budget=insertions) == exact.otc_count(d, n, k)
-    for fn in (nw.count_otc_networks, nw.enumerate_otc):
+def audit_key(net):
+    """Sorted multiset of (role, path-count vector): the mu-representation of
+    Cardona, Rossello and Valiente, independent of the coordinates."""
+    return tuple(sorted(zip(net.roles, nw._path_count_vectors(net))))
+
+
+TC_GENERATOR_CELLS = [
+    (d, n, k) for d in (2, 3) for n in (2, 3, 4) for k in range(n)
+] + [(4, 3, 2), (5, 3, 2)]
+
+
+@pytest.mark.parametrize("d,n,k", TC_GENERATOR_CELLS)
+def test_tc_generator_builds_each_network_once(d, n, k):
+    # the generator alone, with no dedup, yields the fixture's count of
+    # networks that two independent keys tell pairwise apart
+    nets = [nw._coord_to_network(c, d) for c in coords(d, n, k)]
+    assert len(nets) == exact.appendix_table(d)[(n, k)]
+    assert len({nw.canonical_key(net) for net in nets}) == len(nets)
+    assert len({audit_key(net) for net in nets}) == len(nets)
+
+
+def strip(edge, keep):
+    """The edge with only the reticulation labels in keep left on it."""
+    stack, node = edge
+    if node[0] == 1:
+        node = (1, strip(node[1], keep), strip(node[2], keep))
+    return (tuple(x for x in stack if x in keep), node)
+
+
+def partial_networks(coords_list):
+    """Distinct partial networks on the way down: each coordinate with only
+    its j smallest-named reticulations inserted, j = 1..k."""
+    seen = set()
+    for coord in coords_list:
+        names = [min(nw._coord_labels(edge)[0]) for edge in coord[1:]]
+        for j in range(1, len(names) + 1):
+            keep = set(names[:j])
+            seen.add((j,) + tuple(nw._coord_canon(strip(e, keep)) for e in coord))
+    return len(seen)
+
+
+def check_budget(counter, enumerator, d, n, k, insertions, want):
+    # every partial network is built by exactly one insertion, so that many
+    # insertions fit and one fewer does not
+    assert counter(d, n, k, budget=insertions) == want
+    for fn in (counter, enumerator):
         with pytest.raises(nw.BudgetExceeded):
             fn(d, n, k, budget=insertions - 1)
         with pytest.raises(nw.BudgetExceeded):
             fn(d, n, k, budget=10)
+
+
+def test_otc_budget_counts_insertions():
+    d, n, k = 3, 4, 3
+    insertions = partial_networks(coords(d, n, k, one_component=True))
+    # with the k reticulation leaves fixed, level j holds 1 / C(m, j) of the
+    # one-component networks on m = n-k+j leaves with j reticulations
+    assert insertions == comb(n, k) * sum(
+        exact.otc_count(d, n - k + j, j) // comb(n - k + j, j)
+        for j in range(1, k + 1)
+    )
+    check_budget(nw.count_otc_networks, nw.enumerate_otc, d, n, k,
+                 insertions, exact.otc_count(d, n, k))
+
+
+def test_tc_budget_counts_insertions():
+    d, n, k = 3, 4, 3
+    insertions = partial_networks(coords(d, n, k))
+    check_budget(nw.count_tc_networks, nw.enumerate_tc, d, n, k,
+                 insertions, exact.appendix_table(d)[(n, k)])
+
+
+BEYOND_OLD_ORACLES = (
+    [(2, 5, k) for k in range(5)]
+    + [(3, 5, k) for k in range(3)]
+    + [(d, 4, k) for d in (4, 5) for k in range(3)]
+    + [(6, 4, k) for k in range(2)]
+)
+
+
+@pytest.mark.parametrize("d,n,k", BEYOND_OLD_ORACLES)
+def test_count_tc_matches_fixtures_beyond_criterion_2(d, n, k):
+    # the reference tables at n = 4, 5, past the cells that criterion 2 checks
+    assert nw.count_tc_networks(d, n, k) == exact.appendix_table(d)[(n, k)]
 
 
 BAD_PARAMS = [(1, 3, 1), (2, 0, 0), (2, 3, -1), (2, 3, 3)]
@@ -288,8 +370,8 @@ def test_enumerate_tc_matches_fixtures(d, n, k, expected):
 
 
 def test_enumerate_tc_one_component_subset_matches_otc():
-    # filtering the general enumeration down to one-component networks is an
-    # independent route to the closed formula
+    # filtering the general enumeration with the node-level one-component
+    # check recovers the closed formula
     for d, n, k in [(2, 3, 2), (2, 4, 2), (3, 3, 2), (4, 3, 2)]:
         nets = nw.enumerate_tc(d, n, k)
         one_comp = [net for net in nets if nw.is_one_component(net)]
