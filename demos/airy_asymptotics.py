@@ -25,9 +25,10 @@ for d in (2, 3, 4):
 print()
 print("Residual ln(exact) - ln(theta expression) stays in a narrow band")
 print("(and explodes if the root's sign is flipped):")
+log_c = {d: words.c_log_sequence(d, 1999) for d in (2, 3)}
 for d in (2, 3):
-    window = asym.theta_residual_window(d, 500, 2000)
-    flipped = asym.theta_residual_window(d, 500, 2000, a1=-a1)
+    window = asym.theta_residual_window(d, 500, 2000, log_c=log_c[d])
+    flipped = asym.theta_residual_window(d, 500, 2000, a1=-a1, log_c=log_c[d])
     print(f"  d={d}: oscillation {window['oscillation']:.4f} over n in [500, 2000]; "
           f"with +|a1| it becomes {flipped['oscillation']:.1f}")
 
@@ -69,4 +70,4 @@ print(f"  fitted c1 = {fit.c1:+.4f} vs 3*a1*beta = {fit.target_c1:+.4f}")
 print()
 print("Exact log-counts feeding the residuals come from the integer")
 print(f"recurrence: ln TC(2, 2000, 1999) = "
-      f"{math.lgamma(2001) + words.c_log_sequence(2, 1999)[1999]:.2f}")
+      f"{math.lgamma(2001) + log_c[2][1999]:.2f}")

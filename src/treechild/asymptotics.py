@@ -223,33 +223,36 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     """Run the recurrence from e_{2,0} = 1 up to row n_max.
 
     e_{n,m} = mu(n,m) e_{n-1,m+1} + nu(n,m) e_{n-1,m-1}; both coefficients
-    are checked positive on the populated range (a negative one would mean
-    the recurrence is being used outside its domain).
+    are checked positive on the populated range m < n-1 (a negative one
+    would mean the recurrence is being used outside its domain).
+
+    Each row is rescaled to maximum 1 and held only up to its last entry
+    that is a normal double, but never below index keep_m + 1: arithmetic
+    on the subnormal tail runs tens of times slower, and the tests hold the
+    stored entries bit-identical to a full-width run.
     """
     if d < 2 or n_max < 3:
         raise ValueError(f"need d >= 2 and n_max >= 3, got d={d}, n_max={n_max}")
     keep = min(keep_m, n_max)
     log_rows = np.full((n_max + 1, keep + 1), -np.inf)
-    size = n_max + 2
-    work = np.zeros(size)
-    work[0] = 1.0  # e_{2,0} = 1; the Theta-constant absorbs the true scale
+    tiny = np.finfo(float).tiny
+    work = np.ones(1)  # e_{2,0} = 1; the Theta-constant absorbs the true scale
     log_scale = 0.0
     log_rows[2, 0] = 0.0
     for n in range(3, n_max + 1):
-        hi = min(n, size - 2)
-        m = np.arange(0, hi + 1)
-        mu_v = mu(d, n, m)
-        nu_v = nu(d, n, m)
-        if np.any(nu_v[: max(n - 1, 1)] <= 0.0):
+        width = len(work)
+        nu_v = nu(d, n, np.arange(0, n - 1))
+        if np.any(nu_v <= 0.0):
             raise ArithmeticError(f"negative coefficient in row n={n}")
-        new = np.zeros(size)
-        new[: hi + 1] = mu_v * work[1 : hi + 2]
-        new[1 : hi + 1] += nu_v[1:] * work[:hi]
+        new = np.zeros(width + 1)
+        new[: width - 1] = mu(d, n, np.arange(0, width - 1)) * work[1:]
+        new[1:] += nu_v[1 : width + 1] * work
         top = new.max()
         new /= top
         log_scale += math.log(top)
-        work = new
-        lim = min(keep, hi)
+        last = np.flatnonzero(new >= tiny)[-1]
+        work = new[: max(last, keep + 1) + 1]
+        lim = min(keep, len(work) - 1)
         with np.errstate(divide="ignore"):
             log_rows[n, : lim + 1] = np.log(work[: lim + 1]) + log_scale
     return ESequence(d=d, n_max=n_max, keep_m=keep, log_rows=log_rows)
@@ -370,10 +373,10 @@ def stretched_fit(
 
 def fit_e_diagonal(d: int, j_max: int, keep_m: int = 4) -> FitResult:
     """Fit the growth of e_{2j,0} 4^(-j); target coefficient 3 a1 beta."""
+    p = params(d)  # checks d before e_sequence sees the doubled row count
     seq = e_sequence(d, 2 * j_max, keep_m=keep_m)
     js, diag = seq.diagonal()
     series = diag - js * math.log(4.0)
-    p = params(d)
     return stretched_fit(js, series, target_c1=3.0 * p.a1 * p.beta)
 
 
@@ -527,11 +530,14 @@ def _prop_sweep(
         s_n = 2.0 + a1 * b23 / n ** (2.0 / 3.0) - mid / n
         s_n += n**-(7.0 / 6.0) if super_side else -(n ** -(7.0 / 6.0))
         m_cap = int(n**m_exponent)
+        # row n-1 at m-1 and m+1 are entries m and m+2 of prev: each Airy
+        # argument is evaluated once, not once per sample that uses it
+        prev = [log_ai(n - 1, m) for m in range(-1, m_cap + 1)]
         for m in range(0, m_cap):
             samples += 1
             la0 = log_ai(n, m)
-            la_up = log_ai(n - 1, m + 1)
-            la_dn = log_ai(n - 1, m - 1)  # m=0 hits ln Ai(a1) = -inf: term 0
+            la_up = prev[m + 2]
+            la_dn = prev[m]  # m=0 hits ln Ai(a1) = -inf: term 0
             top = max(la0, la_up, la_dn)
             if top == -math.inf:
                 continue

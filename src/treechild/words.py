@@ -300,14 +300,16 @@ def bnn_identity_check(d: int, n: int) -> bool:
 def c_log_sequence(d: int, n_max: int) -> np.ndarray:
     """ln c_n for n = 1..n_max, exact integer rows with O(row) memory.
 
-    Only the current b-table row is held; entry [0] of the result is NaN
-    padding.
+    c_n is read off row n+1 through the identity of bnn_identity_check,
+    b(n+1, n+1) = C((d+1)(n+1) - 2, d-1) * c_n: one exact division by a
+    small binomial per row instead of a sum over the row.  Only the current
+    b-table row is held; entry [0] of the result is NaN padding.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = np.full(n_max + 1, np.nan)
-    for n, row in zip(range(1, n_max + 1), _b_rows(d)):
-        out[n] = math.log(sum(row))
+    for n, row in zip(range(1, n_max + 1), islice(_b_rows(d), 1, None)):
+        out[n] = math.log(row[-1] // math.comb((d + 1) * (n + 1) - 2, d - 1))
     return out
 
 

@@ -94,6 +94,47 @@ def test_e_sequence_boundary_and_parity():
                 assert seq.log_e(n, m) == -math.inf
 
 
+def _e_log_rows_full_width(d, n_max, keep_m):
+    # reference: e_sequence before it cut the subnormal tail of each row
+    keep = min(keep_m, n_max)
+    log_rows = np.full((n_max + 1, keep + 1), -np.inf)
+    size = n_max + 2
+    work = np.zeros(size)
+    work[0] = 1.0
+    log_scale = 0.0
+    log_rows[2, 0] = 0.0
+    for n in range(3, n_max + 1):
+        hi = min(n, size - 2)
+        m = np.arange(0, hi + 1)
+        mu_v = asym.mu(d, n, m)
+        nu_v = asym.nu(d, n, m)
+        new = np.zeros(size)
+        new[: hi + 1] = mu_v * work[1 : hi + 2]
+        new[1 : hi + 1] += nu_v[1:] * work[:hi]
+        top = new.max()
+        new /= top
+        log_scale += math.log(top)
+        work = new
+        lim = min(keep, hi)
+        with np.errstate(divide="ignore"):
+            log_rows[n, : lim + 1] = np.log(work[: lim + 1]) + log_scale
+    return log_rows
+
+
+@pytest.mark.parametrize(
+    "d, n_max, keep_m",
+    [(d, 3000, 64) for d in range(2, 7)]
+    + [(2, 6000, 4)]
+    # keep_m = n_max: a cut that ignored keep_m would change stored entries
+    + [(d, 500, 500) for d in (7, 20, 100)],
+)
+def test_e_sequence_matches_full_width_rows(d, n_max, keep_m):
+    seq = asym.e_sequence(d, n_max, keep_m=keep_m)
+    assert np.array_equal(
+        seq.log_rows, _e_log_rows_full_width(d, n_max, keep_m)
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_transformation_identity_against_b_tables(d):
     # b(n,m) = const * lam^n (n!)^(d-1) e_{n+m,n-m}; the constant comes from
@@ -212,6 +253,77 @@ def test_prop_sweeps_resolved_coefficient():
     assert {n for n, _, _, _ in sup13.violations} == set(ns)
     report = sup13.to_json()
     assert '"check": "supersolution"' in report and '"n_threshold": null' in report
+
+
+def _prop_sweep_three_calls(d, n_values, eps, q_coeff, eta, m_exponent, super_side):
+    # reference: _prop_sweep before it shared the row n-1 Airy evaluations,
+    # three ln Ai calls per sample
+    p = asym.params(d)
+    a1 = p.a1
+    b13 = p.big_b ** (1.0 / 3.0)
+    b23 = p.big_b ** (2.0 / 3.0)
+    quad = (2 * d - 1) / (3.0 * (d + 1))
+    lin = q_coeff / (6.0 * (d + 1))
+    mid = (3 * d * d - 5 * d + 4) / (3.0 * (d + 1))
+
+    def prefactor(n, m):
+        out = 1.0 - quad * m * m / n - lin * m / n
+        if eta is not None:
+            out += eta * m**4 / n**2
+        return out
+
+    def log_ai(n, m):
+        return asym._airy_ai_log(a1 + b13 * (m + 1) / n ** (1.0 / 3.0))
+
+    violations = []
+    samples = 0
+    for n in n_values:
+        s_n = 2.0 + a1 * b23 / n ** (2.0 / 3.0) - mid / n
+        s_n += n**-(7.0 / 6.0) if super_side else -(n ** -(7.0 / 6.0))
+        for m in range(0, int(n**m_exponent)):
+            samples += 1
+            la0 = log_ai(n, m)
+            la_up = log_ai(n - 1, m + 1)
+            la_dn = log_ai(n - 1, m - 1)
+            top = max(la0, la_up, la_dn)
+            if top == -math.inf:
+                continue
+            lhs = prefactor(n, m) * s_n * math.exp(la0 - top)
+            rhs = asym.mu(d, n, m) * prefactor(n - 1, m + 1) * math.exp(la_up - top)
+            if la_dn > -math.inf:
+                rhs += asym.nu(d, n, m) * prefactor(n - 1, m - 1) * math.exp(la_dn - top)
+            slack = 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+            if lhs < rhs - slack if super_side else lhs > rhs + slack:
+                violations.append((n, m, lhs, rhs))
+    return asym.PropReport(
+        d=d,
+        check="supersolution" if super_side else "subsolution",
+        q_coeff=q_coeff,
+        eps=eps,
+        eta=eta,
+        violations=violations,
+        n_values=list(n_values),
+        samples=samples,
+    )
+
+
+@pytest.mark.parametrize(
+    "d, q", [(2, 13), (2, 25), (4, asym.resolved_q_coeff(4))]
+)
+def test_prop_sweeps_match_three_call_reference(d, q):
+    ns = [200, 450, 1250]
+    eps = 0.1
+    eta = (2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01
+    sub = asym.check_subsolution(d, n_values=ns, eps=eps, q_coeff=q)
+    sup = asym.check_supersolution(d, n_values=ns, eps=eps, q_coeff=q)
+    ref_sub = _prop_sweep_three_calls(
+        d, ns, eps, q, None, 2.0 / 3.0 - eps, super_side=False
+    )
+    ref_sup = _prop_sweep_three_calls(
+        d, ns, eps, q, eta, 1.0 - eps, super_side=True
+    )
+    assert sub.to_json() == ref_sub.to_json()
+    assert sup.to_json() == ref_sup.to_json()
 
 
 def test_prop_trivial_orderings():

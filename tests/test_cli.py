@@ -148,6 +148,8 @@ def test_dist_without_n_is_a_usage_error(capsys):
         ["count", "c", "--d", "1", "--n", "3"],
         ["count", "tcmax", "--d", "1", "--n", "4"],
         ["count", "b", "--d", "0", "--n", "3", "--k", "1"],
+        # the message names d, not the doubled row count of the e-recurrence
+        ["asym", "fit", "--d", "1", "--n-max", "100"],
     ],
 )
 def test_b_table_commands_reject_small_d(capsys, argv):

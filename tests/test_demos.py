@@ -9,9 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# airy_asymptotics is left out: it spends about 40 s in c_log_sequence(2, 1999)
-# and joins this list once that dynamic program is made fast (ROADMAP item 3).
-DEMOS = ["counting_and_tables", "limit_laws", "network_oracles", "word_encoding"]
+DEMOS = [
+    "airy_asymptotics",
+    "counting_and_tables",
+    "limit_laws",
+    "network_oracles",
+    "word_encoding",
+]
 
 
 @pytest.mark.parametrize("name", DEMOS)

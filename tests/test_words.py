@@ -202,9 +202,10 @@ def test_b_table_entry_points_reject_small_d(call):
 def test_c_log_sequence_matches_exact():
     import math
 
-    log_c = words.c_log_sequence(3, 30)
-    for n in (1, 5, 17, 30):
-        assert log_c[n] == pytest.approx(math.log(words.c_count(3, n)), rel=1e-12)
+    for d in range(2, 7):
+        log_c = words.c_log_sequence(d, 60)
+        for n in (1, 2, 5, 17, 30, 60):
+            assert log_c[n] == math.log(words.c_count(d, n))
 
 
 def test_word_to_str_formats():
