@@ -19,7 +19,7 @@ for d, n, k in [(2, 4, 2), (3, 3, 2), (3, 4, 3), (4, 3, 2)]:
 print()
 print("General tree-child oracle vs the reference tables:")
 for d, n, k in [(2, 3, 2), (2, 4, 2), (3, 3, 2), (5, 2, 1)]:
-    got = len(nw.enumerate_tc(d, n, k))
+    got = nw.count_tc_networks(d, n, k)
     print(f"  d={d}, n={n}, k={k}: enumerated {got}, "
           f"fixture {exact.appendix_table(d)[(n, k)]}")
 

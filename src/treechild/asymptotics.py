@@ -374,6 +374,8 @@ def stretched_fit(
 def fit_e_diagonal(d: int, j_max: int, keep_m: int = 4) -> FitResult:
     """Fit the growth of e_{2j,0} 4^(-j); target coefficient 3 a1 beta."""
     p = params(d)  # checks d before e_sequence sees the doubled row count
+    if j_max < 50:
+        raise ValueError(f"need j_max >= 50 diagonal points to fit, got {j_max}")
     seq = e_sequence(d, 2 * j_max, keep_m=keep_m)
     js, diag = seq.diagonal()
     series = diag - js * math.log(4.0)

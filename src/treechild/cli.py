@@ -96,13 +96,15 @@ def _cmd_enumerate(args) -> int:
         return 0
 
     k = args.k if args.k is not None else 0
+    if args.format == "count":
+        count = nw.count_otc_networks if args.one_component else nw.count_tc_networks
+        _emit(str(count(args.d, args.n, k, budget=args.budget)))
+        return 0
     if args.one_component:
         nets = nw.enumerate_otc(args.d, args.n, k, budget=args.budget)
     else:
         nets = nw.enumerate_tc(args.d, args.n, k, budget=args.budget)
-    if args.format == "count":
-        _emit(str(len(nets)))
-    elif args.format == "dot":
+    if args.format == "dot":
         parts = [
             nw.to_dot(net, name=f"net{i}").decode() for i, net in enumerate(nets)
         ]

@@ -4,9 +4,10 @@ A network is a rooted simple DAG: one root (indegree 0, outdegree 1), tree
 nodes (in 1, out 2), reticulation nodes (in d, out 1), and leaves (in 1,
 out 0) bijectively labeled 1..n.  This module provides validators for the
 tree-child and one-component classes, the two insertion constructions used
-in the counting proofs, canonicalization up to label-preserving isomorphism,
-and exhaustive enumerators whose cardinalities are the ground truth against
-which formulas and reference tables are checked.
+in the counting proofs, canonicalization of tree-child networks up to
+label-preserving isomorphism, and exhaustive enumerators whose cardinalities
+are the ground truth against which formulas and reference tables are
+checked.
 
 Every tree-child network decomposes into tree components.  The root and
 each reticulation hang over a phylogenetic tree on a block of the leaf
@@ -21,15 +22,19 @@ network once, by inserting the reticulations in name order into the
 components that their own component cannot reach.  One-component networks
 are the case where every reticulation's block is one leaf and every stub
 sits in the root component; the nested tuples of their root component are
-their canonical key.  General tree-child networks are keyed by an
-invariant-plus-search canonicalization.
+their canonical key.  Every other tree-child network is keyed by its nodes
+sorted by role and by mu, the vector of path counts to each leaf label: two
+nodes of a tree-child network share mu only as the root or a reticulation
+and its single child, which differ in role (Cardona, Rossello and Valiente,
+"Comparison of tree-child phylogenetic networks", TCBB 2009), so that sort
+alone numbers the nodes canonically.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 from .words import BudgetExceeded
 
@@ -100,6 +105,10 @@ class ValidationReport:
 
 def validate(net: PhyloNetwork) -> ValidationReport:
     """Check every structural invariant; failures carry a witness."""
+    return _validate(net, net.children())
+
+
+def _validate(net: PhyloNetwork, children: list[list[int]]) -> ValidationReport:
     checks: list[tuple[str, bool, object]] = []
     num = net.num_nodes
     indeg = [0] * num
@@ -133,7 +142,6 @@ def validate(net: PhyloNetwork) -> ValidationReport:
     checks.append(("role_degrees", bad_deg is None, bad_deg))
 
     # acyclicity via Kahn
-    children = net.children()
     pending = indeg[:]
     queue = [i for i in range(num) if pending[i] == 0]
     seen = 0
@@ -156,57 +164,52 @@ def validate(net: PhyloNetwork) -> ValidationReport:
     return ValidationReport(checks)
 
 
-def _require_valid(net: PhyloNetwork) -> None:
-    report = validate(net)
+def _require_valid(net: PhyloNetwork) -> list[list[int]]:
+    """The child lists of a valid network, built once; ValueError otherwise."""
+    children = net.children()
+    report = _validate(net, children)
     if not report.ok:
         raise ValueError(f"invalid network: {report.failures()}")
+    return children
+
+
+def _tree_child_children(net: PhyloNetwork) -> list[list[int]] | None:
+    """The child lists of a valid network, or None if it is not tree-child."""
+    children = _require_valid(net)
+    for i, role in enumerate(net.roles):
+        if role != LEAF and all(net.roles[c] == RET for c in children[i]):
+            return None
+    return children
+
+
+def _require_tree_child(net: PhyloNetwork, caller: str) -> list[list[int]]:
+    children = _tree_child_children(net)
+    if children is None:
+        raise ValueError(f"{caller} expects a tree-child network")
+    return children
 
 
 def is_tree_child(net: PhyloNetwork) -> bool:
     """Every non-leaf node has at least one child that is not a reticulation."""
-    _require_valid(net)
-    children = net.children()
-    for i, role in enumerate(net.roles):
-        if role == LEAF:
-            continue
-        if all(net.roles[c] == RET for c in children[i]):
-            return False
-    return True
+    return _tree_child_children(net) is not None
 
 
 def is_one_component(net: PhyloNetwork) -> bool:
     """Every reticulation is directly followed by a leaf."""
-    if not is_tree_child(net):
-        raise ValueError("is_one_component expects a tree-child network")
-    return _rets_lead_to_leaves(net)
+    return _rets_lead_to_leaves(net, _require_tree_child(net, "is_one_component"))
 
 
-def _rets_lead_to_leaves(net: PhyloNetwork) -> bool:
-    children = net.children()
-    for i, role in enumerate(net.roles):
-        if role == RET and net.roles[children[i][0]] != LEAF:
-            return False
-    return True
-
-
-def _one_component_shaped(net: PhyloNetwork) -> bool:
-    """Tree-child with every reticulation on a leaf: the coordinate domain."""
-    children = net.children()
-    for i, role in enumerate(net.roles):
-        if role == RET and net.roles[children[i][0]] != LEAF:
-            return False
-        if role != LEAF and children[i] and all(
-            net.roles[c] == RET for c in children[i]
-        ):
-            return False
-    return True
+def _rets_lead_to_leaves(net: PhyloNetwork, children: list[list[int]]) -> bool:
+    return all(
+        net.roles[children[i][0]] == LEAF
+        for i, role in enumerate(net.roles)
+        if role == RET
+    )
 
 
 def free_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
     """Out-edges of free tree nodes (tree nodes with no reticulation child)."""
-    if not is_tree_child(net):
-        raise ValueError("free_edges expects a tree-child network")
-    children = net.children()
+    children = _require_tree_child(net, "free_edges")
     out = []
     for i, role in enumerate(net.roles):
         if role == TREE and all(net.roles[c] != RET for c in children[i]):
@@ -385,9 +388,8 @@ def _coord_to_network(coord, d: int) -> PhyloNetwork:
     )
 
 
-def _network_to_coord(net: PhyloNetwork) -> Coord:
+def _network_to_coord(net: PhyloNetwork, children: list[list[int]]) -> Coord:
     """Decompose a network whose reticulations all lead to leaves."""
-    children = net.children()
     labels = net.labels
     ret_label = {}
     for i, role in enumerate(net.roles):
@@ -423,18 +425,18 @@ def _network_to_coord(net: PhyloNetwork) -> Coord:
 
 
 # ---------------------------------------------------------------------------
-# Canonical keys for arbitrary valid networks.
+# Canonical keys for tree-child networks.
 # ---------------------------------------------------------------------------
 
 _ROLE_RANK = {ROOT: 0, TREE: 1, RET: 2, LEAF: 3}
-_FALLBACK_CAP = 2_000_000
 
 
-def _path_count_vectors(net: PhyloNetwork) -> list[tuple[int, ...]]:
+def _path_count_vectors(
+    net: PhyloNetwork, children: list[list[int]]
+) -> list[tuple[int, ...]]:
     """Per node, the vector of directed path counts to each labeled leaf."""
     num = net.num_nodes
     n = net.n
-    children = net.children()
     labels = net.labels
     order: list[int] = []
     state = [0] * num
@@ -461,98 +463,55 @@ def _path_count_vectors(net: PhyloNetwork) -> list[tuple[int, ...]]:
     return [tuple(v) for v in vecs]
 
 
-def _encode_numbering(net: PhyloNetwork, order: list[int]) -> bytes:
-    pos = {old: new for new, old in enumerate(order)}
-    roles = ",".join(net.roles[old] for old in order)
-    edges = sorted((pos[u], pos[v]) for u, v in net.edges)
-    labels = sorted((pos[node], lab) for node, lab in net.leaf_labels)
-    return f"{net.d}|{roles}|{edges}|{labels}".encode()
-
-
-def _general_canonical_bytes(net: PhyloNetwork) -> bytes:
-    vecs = _path_count_vectors(net)
-    children = net.children()
-    parents = net.parents()
-    base = [(_ROLE_RANK[net.roles[i]], vecs[i]) for i in range(net.num_nodes)]
-    inv = [
-        (
-            base[i],
-            tuple(sorted(base[c] for c in children[i])),
-            tuple(sorted(base[p] for p in parents[i])),
-        )
-        for i in range(net.num_nodes)
-    ]
-    order = sorted(range(net.num_nodes), key=lambda i: inv[i])
-
-    groups: list[list[int]] = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or inv[order[i]] != inv[order[start]]:
-            groups.append(order[start:i])
-            start = i
-    if all(len(g) == 1 for g in groups):
-        return _encode_numbering(net, order)
-
-    # invariants collide: exhaust role-preserving numberings within each tie
-    # group and keep the lexicographically smallest encoding
-    total = 1
-    for g in groups:
-        for j in range(2, len(g) + 1):
-            total *= j
-        if total > _FALLBACK_CAP:
-            raise RuntimeError(
-                f"canonicalization fallback too large ({total}+ numberings)"
-            )
-    best: bytes | None = None
-    perms_per_group = [list(permutations(g)) for g in groups]
-
-    def rec(idx: int, acc: list[int]) -> None:
-        nonlocal best
-        if idx == len(groups):
-            enc = _encode_numbering(net, acc)
-            if best is None or enc < best:
-                best = enc
-            return
-        for p in perms_per_group[idx]:
-            rec(idx + 1, acc + list(p))
-
-    rec(0, [])
-    assert best is not None
-    return best
+def _renumbered_by_mu(net: PhyloNetwork, children: list[list[int]]) -> PhyloNetwork:
+    """The copy of a tree-child network with nodes sorted by (role, mu)."""
+    vecs = _path_count_vectors(net, children)
+    order = sorted(
+        range(net.num_nodes), key=lambda i: (_ROLE_RANK[net.roles[i]], vecs[i])
+    )
+    pos = [0] * net.num_nodes
+    for new, old in enumerate(order):
+        pos[old] = new
+    return PhyloNetwork(
+        d=net.d,
+        roles=tuple(net.roles[old] for old in order),
+        edges=tuple(sorted((pos[u], pos[v]) for u, v in net.edges)),
+        leaf_labels=tuple(sorted((pos[node], lab) for node, lab in net.leaf_labels)),
+    )
 
 
 def canonical_key(net: PhyloNetwork) -> bytes:
-    """Equal keys exactly for label-preserving isomorphic networks.
+    """Equal keys exactly for label-preserving isomorphic tree-child networks.
 
-    One-component-shaped networks (tree-child with every reticulation
-    followed by a leaf, an isomorphism-invariant condition) use the
-    coordinate form; everything else goes through invariant sorting with
-    an exact search fallback on invariant collisions, so correctness never
-    rests on the invariants separating all nodes.
+    One-component networks are keyed by their root coordinate (``oc|``),
+    every other tree-child network by its form under the (role, mu)
+    numbering (``tc|``); see canonical_form.  Raises ValueError on a
+    network that is invalid or not tree-child.
     """
-    _require_valid(net)
-    if _one_component_shaped(net):
-        return b"oc|" + repr(_network_to_coord(net)).encode()
-    return b"tc|" + _general_canonical_bytes(net)
+    children = _require_tree_child(net, "canonical_key")
+    if _rets_lead_to_leaves(net, children):
+        return b"oc|" + repr(_network_to_coord(net, children)).encode()
+    form = _renumbered_by_mu(net, children)
+    roles = ",".join(form.roles)
+    return f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}".encode()
 
 
 def canonical_form(net: PhyloNetwork) -> PhyloNetwork:
-    """Isomorphic copy with canonical node numbering (deterministic bytes)."""
-    _require_valid(net)
-    if _one_component_shaped(net):
-        root_edge = _network_to_coord(net)
+    """Isomorphic copy with canonical node numbering (deterministic bytes).
+
+    A one-component network is rebuilt from its root coordinate.  Any
+    other tree-child network has its nodes sorted by role and then by mu,
+    the vector of path counts to each leaf label, which is a total order on
+    the nodes of a tree-child network (see the module docstring).  Raises
+    ValueError on a network that is invalid or not tree-child.
+    """
+    children = _require_tree_child(net, "canonical_form")
+    if _rets_lead_to_leaves(net, children):
+        root_edge = _network_to_coord(net, children)
         rets = sorted(_coord_labels(root_edge)[1])
         coord = (root_edge, *(((), (0, name)) for name in rets))
         return _coord_to_network(coord, net.d)
-    return _network_from_encoding(_general_canonical_bytes(net))
-
-
-def _network_from_encoding(enc: bytes) -> PhyloNetwork:
-    d_str, roles_str, edges_str, labels_str = enc.decode().split("|")
-    roles = tuple(roles_str.split(","))
-    edges = tuple(tuple(pair) for pair in json.loads(edges_str.replace("(", "[").replace(")", "]")))
-    labels = tuple(tuple(pair) for pair in json.loads(labels_str.replace("(", "[").replace(")", "]")))
-    return PhyloNetwork(d=int(d_str), roles=roles, edges=edges, leaf_labels=labels)
+    return _renumbered_by_mu(net, children)
 
 
 # ---------------------------------------------------------------------------

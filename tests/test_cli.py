@@ -1,8 +1,13 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from treechild import cli
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "readme_cli_goldens.json"
 
 
 def run(capsys, *argv):
@@ -101,6 +106,10 @@ def test_asym_commands(capsys):
                     "300", "700")
     assert code == 0
     assert json.loads(out)["result"]["oscillation"] < 0.5
+    # the smallest diagonal the fit accepts
+    code, out = run(capsys, "asym", "fit", "--d", "2", "--n-max", "50")
+    assert code == 0
+    assert json.loads(out)["params"]["n_max"] == 50
 
 
 def test_exit_codes():
@@ -124,9 +133,11 @@ def test_enumerate_networks_bad_parameters(capsys, one_component, d, n, k):
     assert captured.err.count("\n") == 1 and "bad parameters" in captured.err
 
 
-def test_one_component_budget_exceeded(capsys):
-    code = cli.main(["enumerate", "networks", "--d", "2", "--n", "4", "--k", "2",
-                     "--one-component", "--format", "count", "--budget", "10"])
+@pytest.mark.parametrize("one_component", [False, True])
+def test_enumerate_networks_budget_exceeded(capsys, one_component):
+    argv = ["enumerate", "networks", "--d", "2", "--n", "4", "--k", "2",
+            "--format", "count", "--budget", "10"]
+    code = cli.main(argv + (["--one-component"] if one_component else []))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -157,6 +168,20 @@ def test_b_table_commands_reject_small_d(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "d must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -5, 49])
+def test_asym_fit_rejects_small_n_max(capsys, n_max):
+    # the message names the value typed, not the doubled row count of the
+    # e-recurrence
+    assert cli.main(["asym", "fit", "--d", "2", "--n-max", str(n_max)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    numbers = re.findall(r"-?\d+", captured.err)
+    assert str(n_max) in numbers
+    if n_max:
+        assert str(2 * n_max) not in numbers
 
 
 @pytest.mark.parametrize(
@@ -192,6 +217,27 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--exploratory" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "networks", "--d", "2", "--n", "4", "--k", "3",
+         "--format", "json"],
+        ["enumerate", "networks", "--d", "3", "--n", "3", "--k", "2",
+         "--one-component", "--format", "dot"],
+    ],
+)
+def test_network_exports_match_goldens(capsys, argv):
+    # the general (tc|) and one-component export bytes, node numbering and
+    # network order included, against the recorded CLI goldens
+    goldens = json.loads(GOLDENS.read_text())["commands"]
+    golden = next(g for g in goldens if g["argv"] == argv)
+    code = cli.main(argv)
+    out = capsys.readouterr().out.encode()
+    assert code == golden["exit"]
+    assert len(out) == golden["bytes"]
+    assert hashlib.sha256(out).hexdigest() == golden["sha256"]
 
 
 def test_byte_determinism(capsys):

@@ -185,10 +185,18 @@ def test_canonical_key_invariance():
     assert nw.canonical_key(permuted(net, rotated)) == nw.canonical_key(net)
     reversed_ids = list(reversed(range(net.num_nodes)))
     assert nw.canonical_key(permuted(net, reversed_ids)) == nw.canonical_key(net)
-    # general (non-one-component) branch
-    general = non_tree_child_net()
-    assert nw.canonical_key(permuted(general, [0, 1, 3, 2, 5, 4, 6, 7])) \
-        == nw.canonical_key(general)
+    # general (tc|) branch: a reticulation over a cherry, not over a leaf
+    general = next(x for x in nw.enumerate_tc(2, 3, 1) if not nw.is_one_component(x))
+    assert nw.canonical_key(general).startswith(b"tc|")
+    assert nw.canonical_key(permuted(general, rotated)) == nw.canonical_key(general)
+
+
+@pytest.mark.parametrize(
+    "fn", [nw.canonical_key, nw.canonical_form, nw.to_json, nw.to_dot]
+)
+def test_canonicalization_rejects_non_tree_child(fn):
+    with pytest.raises(ValueError, match="tree-child"):
+        fn(non_tree_child_net())
 
 
 def test_canonical_key_separates_leaf_relabelings():
@@ -227,12 +235,13 @@ def test_otc_generator_builds_each_network_once():
 def audit_key(net):
     """Sorted multiset of (role, path-count vector): the mu-representation of
     Cardona, Rossello and Valiente, independent of the coordinates."""
-    return tuple(sorted(zip(net.roles, nw._path_count_vectors(net))))
+    vecs = nw._path_count_vectors(net, net.children())
+    return tuple(sorted(zip(net.roles, vecs)))
 
 
 TC_GENERATOR_CELLS = [
     (d, n, k) for d in (2, 3) for n in (2, 3, 4) for k in range(n)
-] + [(4, 3, 2), (5, 3, 2)]
+] + [(4, 3, 2), (5, 3, 2), (6, 3, 2)]
 
 
 @pytest.mark.parametrize("d,n,k", TC_GENERATOR_CELLS)
@@ -242,7 +251,12 @@ def test_tc_generator_builds_each_network_once(d, n, k):
     nets = [nw._coord_to_network(c, d) for c in coords(d, n, k)]
     assert len(nets) == exact.appendix_table(d)[(n, k)]
     assert len({nw.canonical_key(net) for net in nets}) == len(nets)
-    assert len({audit_key(net) for net in nets}) == len(nets)
+    audits = [audit_key(net) for net in nets]
+    assert len(set(audits)) == len(nets)
+    # (role, mu) tells every node apart, so sorting by it numbers the nodes
+    # canonically: the invariant the canonical key rests on
+    for net, audit in zip(nets, audits):
+        assert len(set(audit)) == net.num_nodes
 
 
 def strip(edge, keep):
@@ -406,10 +420,11 @@ PROPERTY_CELLS = (
 )
 def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
     # every network an oracle enumerates: random node renumberings keep the
-    # key and the exported bytes, and JSON round-trips to the same key
+    # key and the exported JSON and DOT bytes, and JSON round-trips to the
+    # same key
     rng = random.Random(0)
     for net in enumerate_fn(d, n, k):
-        key, data = nw.canonical_key(net), nw.to_json(net)
+        key, data, dot = nw.canonical_key(net), nw.to_json(net), nw.to_dot(net)
         assert nw.canonical_key(nw.from_json(data)) == key
         for _ in range(3):
             perm = list(range(net.num_nodes))
@@ -417,6 +432,7 @@ def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
             other = permuted(net, perm)
             assert nw.canonical_key(other) == key
             assert nw.to_json(other) == data
+            assert nw.to_dot(other) == dot
 
 
 def test_export_dot():
