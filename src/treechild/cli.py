@@ -104,11 +104,12 @@ def _cmd_enumerate(args) -> int:
         nets = nw.enumerate_otc(args.d, args.n, k, budget=args.budget)
     else:
         nets = nw.enumerate_tc(args.d, args.n, k, budget=args.budget)
+    # the enumerators return canonical forms, so the private writers
+    # serialise them as they are
     if args.format == "dot":
-        parts = [
-            nw.to_dot(net, name=f"net{i}").decode() for i, net in enumerate(nets)
-        ]
-        sys.stdout.write("".join(parts))
+        sys.stdout.write(
+            "".join(nw._dot_text(net, f"net{i}") for i, net in enumerate(nets))
+        )
     else:
         _emit(
             _envelope(
@@ -122,7 +123,7 @@ def _cmd_enumerate(args) -> int:
                 },
                 {
                     "count": len(nets),
-                    "networks": [json.loads(nw.to_json(net)) for net in nets],
+                    "networks": [nw._json_payload(net) for net in nets],
                 },
             )
         )

@@ -28,6 +28,12 @@ nodes of a tree-child network share mu only as the root or a reticulation
 and its single child, which differ in role (Cardona, Rossello and Valiente,
 "Comparison of tree-child phylogenetic networks", TCBB 2009), so that sort
 alone numbers the nodes canonically.
+
+canonical_key and canonical_form validate and canonicalise any network
+they are given, and so do the public exporters to_json, to_dot and export.
+The enumerators enumerate_tc and enumerate_otc return networks that are
+already canonical forms; the private writers _json_payload and _dot_text
+take such a network as it is and do not renumber it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import itemgetter
 
 from .words import BudgetExceeded
 
@@ -105,14 +112,20 @@ class ValidationReport:
 
 def validate(net: PhyloNetwork) -> ValidationReport:
     """Check every structural invariant; failures carry a witness."""
-    return _validate(net, net.children())
+    return _validate(net)[0]
 
 
-def _validate(net: PhyloNetwork, children: list[list[int]]) -> ValidationReport:
+def _validate(net: PhyloNetwork) -> tuple[ValidationReport, list[list[int]]]:
+    """The report, and the child lists built from the edges that are simple.
+
+    An edge with an end outside 0..N-1, a loop or a repeat fails
+    simple_graph and stays out of the child lists, so no later check
+    indexes by a node id the network does not have.
+    """
     checks: list[tuple[str, bool, object]] = []
     num = net.num_nodes
     indeg = [0] * num
-    outdeg = [0] * num
+    children: list[list[int]] = [[] for _ in range(num)]
     seen_edges = set()
     simple = True
     witness_edge = None
@@ -122,7 +135,7 @@ def _validate(net: PhyloNetwork, children: list[list[int]]) -> ValidationReport:
             witness_edge = (u, v)
             continue
         seen_edges.add((u, v))
-        outdeg[u] += 1
+        children[u].append(v)
         indeg[v] += 1
     checks.append(("simple_graph", simple, witness_edge))
 
@@ -136,8 +149,8 @@ def _validate(net: PhyloNetwork, children: list[list[int]]) -> ValidationReport:
             bad_deg = (i, role)
             break
         want_in, want_out = expected[role]
-        if indeg[i] != want_in or outdeg[i] != want_out:
-            bad_deg = (i, role, indeg[i], outdeg[i])
+        if indeg[i] != want_in or len(children[i]) != want_out:
+            bad_deg = (i, role, indeg[i], len(children[i]))
             break
     checks.append(("role_degrees", bad_deg is None, bad_deg))
 
@@ -161,13 +174,12 @@ def _validate(net: PhyloNetwork, children: list[list[int]]) -> ValidationReport:
         and sorted(labels.values()) == list(range(1, len(leaves) + 1))
     )
     checks.append(("leaf_labels_bijective", bijective, labels))
-    return ValidationReport(checks)
+    return ValidationReport(checks), children
 
 
 def _require_valid(net: PhyloNetwork) -> list[list[int]]:
     """The child lists of a valid network, built once; ValueError otherwise."""
-    children = net.children()
-    report = _validate(net, children)
+    report, children = _validate(net)
     if not report.ok:
         raise ValueError(f"invalid network: {report.failures()}")
     return children
@@ -480,38 +492,45 @@ def _renumbered_by_mu(net: PhyloNetwork, children: list[list[int]]) -> PhyloNetw
     )
 
 
+def _canonical(
+    net: PhyloNetwork, children: list[list[int]]
+) -> tuple[bytes, PhyloNetwork]:
+    """(canonical key, canonical form) of a valid tree-child network.
+
+    A one-component network is keyed by its root coordinate (``oc|``) and
+    rebuilt from it.  Any other tree-child network has its nodes sorted by
+    role and then by mu, the vector of path counts to each leaf label,
+    which is a total order on the nodes of a tree-child network (see the
+    module docstring); it is keyed by that form (``tc|``).
+    """
+    if _rets_lead_to_leaves(net, children):
+        root_edge = _network_to_coord(net, children)
+        rets = sorted(_coord_labels(root_edge)[1])
+        coord = (root_edge, *(((), (0, name)) for name in rets))
+        return b"oc|" + repr(root_edge).encode(), _coord_to_network(coord, net.d)
+    form = _renumbered_by_mu(net, children)
+    roles = ",".join(form.roles)
+    key = f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}"
+    return key.encode(), form
+
+
 def canonical_key(net: PhyloNetwork) -> bytes:
     """Equal keys exactly for label-preserving isomorphic tree-child networks.
 
-    One-component networks are keyed by their root coordinate (``oc|``),
-    every other tree-child network by its form under the (role, mu)
-    numbering (``tc|``); see canonical_form.  Raises ValueError on a
-    network that is invalid or not tree-child.
+    The key starts with ``oc|`` for a one-component network and ``tc|``
+    for any other.  Raises ValueError on a network that is invalid or not
+    tree-child.
     """
-    children = _require_tree_child(net, "canonical_key")
-    if _rets_lead_to_leaves(net, children):
-        return b"oc|" + repr(_network_to_coord(net, children)).encode()
-    form = _renumbered_by_mu(net, children)
-    roles = ",".join(form.roles)
-    return f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}".encode()
+    return _canonical(net, _require_tree_child(net, "canonical_key"))[0]
 
 
 def canonical_form(net: PhyloNetwork) -> PhyloNetwork:
     """Isomorphic copy with canonical node numbering (deterministic bytes).
 
-    A one-component network is rebuilt from its root coordinate.  Any
-    other tree-child network has its nodes sorted by role and then by mu,
-    the vector of path counts to each leaf label, which is a total order on
-    the nodes of a tree-child network (see the module docstring).  Raises
+    canonical_form(canonical_form(x)) == canonical_form(x).  Raises
     ValueError on a network that is invalid or not tree-child.
     """
-    children = _require_tree_child(net, "canonical_form")
-    if _rets_lead_to_leaves(net, children):
-        root_edge = _network_to_coord(net, children)
-        rets = sorted(_coord_labels(root_edge)[1])
-        coord = (root_edge, *(((), (0, name)) for name in rets))
-        return _coord_to_network(coord, net.d)
-    return _renumbered_by_mu(net, children)
+    return _canonical(net, _require_tree_child(net, "canonical_form"))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +750,10 @@ def enumerate_otc(
     """All one-component networks with n leaves and k reticulations.
 
     Every reticulation block is one leaf and every stub sits in the root
-    component; the result is sorted by coordinates, i.e. by canonical key.
+    component.  Each network is built from its canonical coordinates, so
+    canonical_form(x) == x for every x returned.  The result is sorted by
+    root coordinate as a tuple, which is not the byte order of the ``oc|``
+    keys that spell those coordinates out.
     """
     _check_params(d, n, k)
     coords = sorted(_attach(*s) for s in _tc_search(d, n, k, budget, True))
@@ -743,12 +765,15 @@ def enumerate_tc(
 ) -> list[PhyloNetwork]:
     """All tree-child networks with n leaves and k reticulations.
 
-    Each network is built once from its component coordinates; the result
-    is sorted by canonical key.
+    Each network is built once from its component coordinates and
+    canonicalised once; the result holds the canonical forms, so
+    canonical_form(x) == x for every x returned, sorted by canonical key.
     """
     _check_params(d, n, k)
-    nets = [_coord_to_network(_attach(*s), d) for s in _tc_search(d, n, k, budget)]
-    return sorted(nets, key=canonical_key)
+    coords = [_attach(*s) for s in _tc_search(d, n, k, budget)]
+    nets = (_coord_to_network(c, d) for c in coords)
+    keyed = (_canonical(net, net.children()) for net in nets)
+    return [form for _, form in sorted(keyed, key=itemgetter(0))]
 
 
 def count_tc_networks(
@@ -764,9 +789,13 @@ def count_tc_networks(
 # ---------------------------------------------------------------------------
 
 def to_json(net: PhyloNetwork) -> bytes:
-    """Deterministic JSON; nodes renumbered canonically first."""
-    cf = canonical_form(net)
-    payload = {
+    """Deterministic JSON of any tree-child network, canonicalised first."""
+    return json.dumps(_json_payload(canonical_form(net))).encode()
+
+
+def _json_payload(cf: PhyloNetwork) -> dict:
+    """The JSON object of a network already in canonical numbering."""
+    return {
         "d": cf.d,
         "n": cf.n,
         "k": cf.k,
@@ -774,7 +803,6 @@ def to_json(net: PhyloNetwork) -> bytes:
         "edges": [[u, v] for u, v in sorted(cf.edges)],
         "leaf_labels": {str(node): lab for node, lab in cf.leaf_labels},
     }
-    return json.dumps(payload).encode()
 
 
 def from_json(data: bytes | str) -> PhyloNetwork:
@@ -796,8 +824,12 @@ _DOT_SHAPE = {ROOT: "diamond", TREE: "circle", RET: "box", LEAF: "plaintext"}
 
 
 def to_dot(net: PhyloNetwork, name: str = "network") -> bytes:
-    """Deterministic DOT export with role-based node shapes."""
-    cf = canonical_form(net)
+    """Deterministic DOT of any tree-child network, canonicalised first."""
+    return _dot_text(canonical_form(net), name).encode()
+
+
+def _dot_text(cf: PhyloNetwork, name: str) -> str:
+    """DOT with role-based node shapes for a network in canonical numbering."""
     labels = cf.labels
     lines = [f"digraph {name} {{"]
     for i, role in enumerate(cf.roles):
@@ -810,7 +842,7 @@ def to_dot(net: PhyloNetwork, name: str = "network") -> bytes:
     for u, v in sorted(cf.edges):
         lines.append(f"  n{u} -> n{v};")
     lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
+    return "\n".join(lines) + "\n"
 
 
 def export(net: PhyloNetwork, format: str) -> bytes:

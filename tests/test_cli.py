@@ -226,6 +226,8 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
          "--format", "json"],
         ["enumerate", "networks", "--d", "3", "--n", "3", "--k", "2",
          "--one-component", "--format", "dot"],
+        ["enumerate", "networks", "--d", "4", "--n", "4", "--k", "2",
+         "--one-component", "--format", "json"],
     ],
 )
 def test_network_exports_match_goldens(capsys, argv):

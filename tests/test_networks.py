@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from collections import Counter
@@ -71,6 +72,27 @@ def test_validate_rejects_parallel_edges_and_cycles():
         leaf_labels=((1, 1),),
     )
     assert not nw.validate(net).ok
+
+
+@pytest.mark.parametrize("bad_edge", [(0, 5), (-1, 1)])
+def test_validate_reports_out_of_range_edge(bad_edge):
+    # a node id outside 0..N-1 fails simple_graph with the edge as witness,
+    # and the same network read from JSON is refused by canonicalisation
+    net = nw.PhyloNetwork(
+        d=2, roles=(nw.ROOT, nw.LEAF), edges=((0, 1), bad_edge), leaf_labels=((1, 1),)
+    )
+    report = nw.validate(net)
+    assert [(rule, w) for rule, ok, w in report.checks if not ok] == [
+        ("simple_graph", bad_edge)
+    ]
+    data = json.dumps({
+        "d": 2,
+        "nodes": [{"id": 0, "role": nw.ROOT}, {"id": 1, "role": nw.LEAF}],
+        "edges": [[0, 1], list(bad_edge)],
+        "leaf_labels": {"1": 1},
+    })
+    with pytest.raises(ValueError, match="simple_graph"):
+        nw.canonical_key(nw.from_json(data))
 
 
 def test_non_tree_child_detected():
@@ -419,12 +441,18 @@ PROPERTY_CELLS = (
     ids=[f"{fn.__name__}-d{d}-n{n}-k{k}" for fn, d, n, k in PROPERTY_CELLS],
 )
 def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
-    # every network an oracle enumerates: random node renumberings keep the
-    # key and the exported JSON and DOT bytes, and JSON round-trips to the
-    # same key
+    # every network an oracle enumerates: it is its own canonical form, so
+    # the writers the CLI calls on it give the public exporters' bytes; random
+    # node renumberings keep the key and the exported JSON and DOT bytes, and
+    # JSON round-trips to the same key.  The list is strictly sorted.
     rng = random.Random(0)
+    keys = []
     for net in enumerate_fn(d, n, k):
         key, data, dot = nw.canonical_key(net), nw.to_json(net), nw.to_dot(net)
+        keys.append(key)
+        assert nw.canonical_form(net) == net
+        assert json.dumps(nw._json_payload(net)).encode() == data
+        assert nw._dot_text(net, "network").encode() == dot
         assert nw.canonical_key(nw.from_json(data)) == key
         for _ in range(3):
             perm = list(range(net.num_nodes))
@@ -433,6 +461,11 @@ def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
             assert nw.canonical_key(other) == key
             assert nw.to_json(other) == data
             assert nw.to_dot(other) == dot
+    if enumerate_fn is nw.enumerate_otc:
+        # ordered by the root coordinate that the oc| key spells out: tuple
+        # order, not byte order ((2,) < (2, 2) but b"(2,)" > b"(2, 2)")
+        keys = [ast.literal_eval(key.removeprefix(b"oc|").decode()) for key in keys]
+    assert keys == sorted(set(keys))
 
 
 def test_export_dot():
