@@ -18,18 +18,12 @@ import sys
 
 from . import __version__
 from . import asymptotics as asym
+from . import criteria
 from . import distributions as dist
 from . import exact
 from . import networks as nw
 from . import words
 from .words import BudgetExceeded
-
-_BIG = 2**53
-
-
-def _jint(x: int):
-    return str(x) if abs(x) >= _BIG else x
-
 
 def _envelope(command: str, params: dict, result) -> str:
     return json.dumps(
@@ -134,190 +128,40 @@ def _cmd_enumerate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _tc_budget_rows(d: int) -> list[int]:
-    return [2, 3, 4] if d in (2, 3) else [2, 3]
-
-
-def _suite_tables(d: int, budget: int) -> tuple[bool, dict]:
-    table = exact.appendix_table(d)
-    entries = []
-    ok = True
-    for n in table.n_values:
-        fixture = table[(n, n - 1)]
-        got = words.tc_max_count(d, n)
-        good = got == fixture
-        ok &= good
-        entries.append(
-            {"check": "tcmax", "n": n, "got": _jint(got),
-             "fixture": _jint(fixture), "ok": good}
-        )
-    for n in _tc_budget_rows(d):
-        for k in range(n):
-            fixture = table[(n, k)]
-            got = nw.count_tc_networks(d, n, k, budget=budget)
-            good = got == fixture
-            ok &= good
-            entries.append(
-                {"check": "brute_force", "n": n, "k": k, "got": _jint(got),
-                 "fixture": _jint(fixture), "ok": good}
-            )
-    return ok, {"d": d, "entries": entries}
-
-
-def _suite_formulas(d: int, budget: int) -> tuple[bool, dict]:
-    entries = []
-    ok = True
-    n_hi = 4 if d <= 3 else 3
-    for n in range(1, n_hi + 1):
-        for k in range(n):
-            got = nw.count_otc_networks(d, n, k, budget=budget)
-            want = exact.otc_count(d, n, k)
-            good = got == want
-            ok &= good
-            entries.append(
-                {"check": "otc_oracle", "n": n, "k": k, "got": _jint(got),
-                 "formula": _jint(want), "ok": good}
-            )
-    for n in range(2, 40):
-        for k in range(1, n):
-            lhs = exact.otc_count(d, n, k) * k
-            rhs = (
-                n
-                * exact.binomial(2 * n + (d - 2) * k - 2, d)
-                * exact.otc_count(d, n - 1, k - 1)
-            )
-            if lhs != rhs:
-                ok = False
-                entries.append(
-                    {"check": "step_recurrence", "n": n, "k": k, "ok": False}
-                )
-    entries.append({"check": "step_recurrence", "range": "n<40", "ok": ok})
-    return ok, {"d": d, "entries": entries}
-
-
-def _suite_words(d: int, budget: int) -> tuple[bool, dict]:
-    entries = []
-    ok = True
-    n = 1
-    while n * (d + 1) <= 14:
-        stream = list(words.enumerate_words(d, n, budget=budget))
-        want = words.c_count(d, n)
-        good = len(stream) == want
-        ok &= good
-        entries.append(
-            {"check": "word_count", "n": n, "got": len(stream),
-             "recurrence": _jint(want), "ok": good}
-        )
-        table = words.b_table_int(d, n)
-        partition: dict[int, int] = {}
-        for w in stream:
-            m = words.suffix_index(w, d)
-            partition[m] = partition.get(m, 0) + 1
-        good = all(partition.get(m, 0) == table.b(n, m) for m in range(1, n + 1))
-        ok &= good
-        entries.append({"check": "suffix_partition", "n": n, "ok": good})
-        n += 1
-    dual = words.b_table_int(d, 50).rows == words.b_table_rational(d, 50).rows
-    ok &= dual
-    entries.append({"check": "dual_recurrence", "n_max": 50, "ok": dual})
-    return ok, {"d": d, "entries": entries}
-
-
-def _suite_sandwich() -> tuple[bool, dict]:
-    entries = []
-    ok = True
-    sqrt_e = math.sqrt(math.e)
-    for d in exact.fixture_d_values():
-        table = exact.appendix_table(d)
-        for n in table.n_values:
-            tc_max = table[(n, n - 1)]
-            total = table.row_sum(n)
-            good = tc_max <= total and total <= sqrt_e * tc_max
-            ok &= good
-            entries.append({"check": "sandwich", "d": d, "n": n, "ok": good})
-            for k in range(n - 1):
-                good = 2 * (n - k - 1) * table[(n, k)] <= table[(n, k + 1)]
-                ok &= good
-                if not good:
-                    entries.append(
-                        {"check": "step", "d": d, "n": n, "k": k, "ok": False}
-                    )
-            for k in range(n):
-                bound, _ = exact.tc_upper_bound(d, n, k, tc_max)
-                good = table[(n, k)] <= bound
-                ok &= good
-                if not good:
-                    entries.append(
-                        {"check": "upper_bound", "d": d, "n": n, "k": k, "ok": False}
-                    )
-    t1 = exact.appendix_table(2)
-    for n in range(3, 9):
-        good = 2 * t1[(n, n - 2)] == t1[(n, n - 1)]
-        ok &= good
-        entries.append({"check": "equality_at_nm2", "n": n, "ok": good})
-    return ok, {"entries": entries}
-
-
-def _suite_props(d: int, q: int | None) -> tuple[bool, dict]:
-    if q is None:
-        q = asym.default_q_coeff(d)
-    sub = asym.check_subsolution(d, q_coeff=q)
-    sup = asym.check_supersolution(d, q_coeff=q)
-    ok = sub.n_threshold is not None and sup.n_threshold is not None
-    return ok, {
-        "d": d,
-        "q_coeff": q,
-        "subsolution": json.loads(sub.to_json()),
-        "supersolution": json.loads(sup.to_json()),
-    }
+def _suite(head: dict, *parts: tuple[bool, list]) -> tuple[bool, dict]:
+    """A suite report: head, then the entries of every (ok, entries) part."""
+    entries = [e for _, part in parts for e in part]
+    return all(ok for ok, _ in parts), {**head, "entries": entries}
 
 
 def _suite_asym(d: int) -> tuple[bool, dict]:
-    entries = []
-    root = asym.airy_root_a1()
-    good = abs(root + 2.33810741) < 1e-6
-    entries.append({"check": "airy_root", "value": root, "ok": good})
-    ok = good
+    ok, root = criteria.airy_root()
+    parts = [(ok, [{"check": "airy_root", "value": root["value"], "ok": ok}])]
     if d in (2, 3):
-        window = asym.theta_residual_window(d, 500, 2000)
-        good = window["oscillation"] < 0.5
-        ok &= good
-        entries.append(
-            {"check": "theta_residual", "oscillation": window["oscillation"],
-             "ok": good}
-        )
-    if d == 2:
-        ratios = [
-            math.exp(exact.otc_total_log(2, n) - asym.otc_total_asymptotic(2, n))
-            for n in (250, 500, 1000, 2000)
-        ]
-        good = all(
-            abs(ratios[i + 1] - 1) < abs(ratios[i] - 1) for i in range(3)
-        )
-        entries.append({"check": "otc_total_trend", "ratios": ratios, "ok": good})
-    else:
-        ratio = math.exp(
-            exact.otc_total_log(d, 500) - asym.otc_total_asymptotic(d, 500)
-        )
-        good = abs(ratio - 1) < 0.02
-        entries.append({"check": "otc_total_ratio", "ratio": ratio, "ok": good})
-    ok &= good
-    return ok, {"d": d, "entries": entries}
+        ok, theta = criteria.theta(d)
+        parts.append((ok, [{"check": "theta_residual",
+                            "oscillation": theta["oscillation"], "ok": ok}]))
+    return _suite({"d": d}, *parts, criteria.otc_total(d))
 
 
 def _cmd_verify(args) -> int:
     suite = args.suite
     d = args.d if args.d is not None else 2
     if suite == "tables":
-        ok, report = _suite_tables(d, args.budget)
+        n_max = 4 if d in (2, 3) else 3
+        ok, report = _suite({"d": d}, criteria.tcmax_rows(d),
+                            criteria.tc_oracle(d, n_max, args.budget))
     elif suite == "formulas":
-        ok, report = _suite_formulas(d, args.budget)
+        n_max = 4 if d <= 3 else 3
+        ok, report = _suite({"d": d}, criteria.otc_formula(d, n_max, args.budget))
     elif suite == "words":
-        ok, report = _suite_words(d, args.budget)
+        ok, report = _suite({"d": d}, criteria.word_oracle(d, args.budget),
+                            criteria.dual_recurrence(d))
     elif suite == "sandwich":
-        ok, report = _suite_sandwich()
+        ok, report = _suite({}, criteria.sandwich())
     elif suite == "props":
-        ok, report = _suite_props(d, args.q)
+        q = asym.resolved_q_coeff(d) if args.q is None else args.q
+        ok, report = criteria.proposition_sweeps(d, q)
     elif suite == "asym":
         ok, report = _suite_asym(d)
     else:  # pragma: no cover
@@ -355,9 +199,9 @@ def _cmd_dist(args) -> int:
                 rows.append(
                     {
                         "k": k,
-                        "word_count": _jint(v),
-                        "predicted_tc": _jint(predicted),
-                        "fixture_tc": _jint(table[(n, k)])
+                        "word_count": criteria.json_int(v),
+                        "predicted_tc": criteria.json_int(predicted),
+                        "fixture_tc": criteria.json_int(table[(n, k)])
                         if (n, k) in table
                         else None,
                     }
@@ -478,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tables", "formulas", "words", "sandwich",
                             "props", "asym"])
     p.add_argument("--d", type=int)
-    p.add_argument("--q", type=int, help="prefactor coefficient for props")
+    p.add_argument("--q", type=int,
+                   help="prefactor coefficient for props (default "
+                   "3d^2+12d-11, which balances the 1/n terms of both sweeps)")
     p.add_argument("--budget", type=int, default=nw.DEFAULT_NETWORK_BUDGET)
     p.set_defaults(func=_cmd_verify)
 

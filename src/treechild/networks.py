@@ -86,16 +86,26 @@ class PhyloNetwork:
         return dict(self.leaf_labels)
 
     def children(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        num = self.num_nodes
+        out: list[list[int]] = [[] for _ in range(num)]
         for u, v in self.edges:
+            if not (0 <= u < num and 0 <= v < num):
+                raise _edge_outside((u, v), num)
             out[u].append(v)
         return out
 
     def parents(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        num = self.num_nodes
+        out: list[list[int]] = [[] for _ in range(num)]
         for u, v in self.edges:
+            if not (0 <= u < num and 0 <= v < num):
+                raise _edge_outside((u, v), num)
             out[v].append(u)
         return out
+
+
+def _edge_outside(edge: tuple[int, int], num: int) -> ValueError:
+    return ValueError(f"edge {edge} names a node outside 0..{num - 1}")
 
 
 @dataclass
@@ -492,6 +502,10 @@ def _renumbered_by_mu(net: PhyloNetwork, children: list[list[int]]) -> PhyloNetw
     )
 
 
+def _oc_key(root_edge: Coord) -> bytes:
+    return b"oc|" + repr(root_edge).encode()
+
+
 def _canonical(
     net: PhyloNetwork, children: list[list[int]]
 ) -> tuple[bytes, PhyloNetwork]:
@@ -507,7 +521,7 @@ def _canonical(
         root_edge = _network_to_coord(net, children)
         rets = sorted(_coord_labels(root_edge)[1])
         coord = (root_edge, *(((), (0, name)) for name in rets))
-        return b"oc|" + repr(root_edge).encode(), _coord_to_network(coord, net.d)
+        return _oc_key(root_edge), _coord_to_network(coord, net.d)
     form = _renumbered_by_mu(net, children)
     roles = ",".join(form.roles)
     key = f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}"
@@ -521,7 +535,10 @@ def canonical_key(net: PhyloNetwork) -> bytes:
     for any other.  Raises ValueError on a network that is invalid or not
     tree-child.
     """
-    return _canonical(net, _require_tree_child(net, "canonical_key"))[0]
+    children = _require_tree_child(net, "canonical_key")
+    if _rets_lead_to_leaves(net, children):  # the root coordinate alone
+        return _oc_key(_network_to_coord(net, children))
+    return _canonical(net, children)[0]
 
 
 def canonical_form(net: PhyloNetwork) -> PhyloNetwork:

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from treechild import asymptotics as asym
-from treechild import exact, words
+from treechild import criteria, exact, words
 
 
 def test_airy_against_scipy():
@@ -30,10 +30,9 @@ def test_airy_positive_right_of_root():
 
 
 def test_airy_root():
-    root = asym.airy_root_a1()
-    assert abs(root + 2.33810741) < 1e-6
-    assert abs(asym.airy_ai(root)) < 1e-8
-    assert -2.4 < root < -2.3
+    ok, root = criteria.airy_root()
+    assert ok, root
+    assert -2.4 < root["value"] < -2.3
 
 
 def test_airy_log_matches_scipy():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from treechild import cli
+from treechild import asymptotics as asym
+from treechild import cli, criteria
+from treechild import distributions as dist
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "readme_cli_goldens.json"
 
@@ -71,6 +73,10 @@ def test_verify_suites(capsys):
     assert code == 0
     report = json.loads(out)["result"]
     assert report["subsolution"]["n_threshold"] is not None
+    # with no --q the sweeps use the resolved coefficient 3d^2+12d-11
+    code, out = run(capsys, "verify", "--suite", "props", "--d", "2")
+    assert code == 0
+    assert json.loads(out)["result"]["q_coeff"] == 25
     # the garbled printed coefficient fails the super-solution sweep: exit 1
     code, out = run(capsys, "verify", "--suite", "props", "--d", "2", "--q", "13")
     assert code == 1
@@ -80,11 +86,11 @@ def test_verify_suites(capsys):
 def test_dist_commands(capsys):
     code, out = run(capsys, "dist", "--d", "3", "--n", "500", "--limit", "bessel")
     assert code == 0
-    assert json.loads(out)["result"]["tv"] < 0.01
+    assert json.loads(out)["result"]["tv"] == dist.bessel_limit_check(500)
     code, out = run(capsys, "dist", "--d", "4", "--n", "100", "--limit",
                     "degenerate")
     assert code == 0
-    assert json.loads(out)["result"]["p_max"] >= 0.99
+    assert json.loads(out)["result"]["p_max"] == dist.degenerate_check(4, 100)
     code, out = run(capsys, "dist", "--d", "2", "--n", "8", "--exploratory",
                     "poisson")
     assert code == 0
@@ -101,11 +107,12 @@ def test_dist_commands(capsys):
 def test_asym_commands(capsys):
     code, out = run(capsys, "asym", "root")
     assert code == 0
-    assert abs(json.loads(out)["result"]["a1"] + 2.33810741) < 1e-6
+    assert json.loads(out)["result"]["a1"] == asym.airy_root_a1()
     code, out = run(capsys, "asym", "residual", "--d", "2", "--window",
                     "300", "700")
     assert code == 0
-    assert json.loads(out)["result"]["oscillation"] < 0.5
+    window = asym.theta_residual_window(2, 300, 700)
+    assert json.loads(out)["result"]["oscillation"] == window["oscillation"]
     # the smallest diagonal the fit accepts
     code, out = run(capsys, "asym", "fit", "--d", "2", "--n-max", "50")
     assert code == 0
@@ -228,11 +235,14 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
          "--one-component", "--format", "dot"],
         ["enumerate", "networks", "--d", "4", "--n", "4", "--k", "2",
          "--one-component", "--format", "json"],
+        ["verify", "--suite", "sandwich"],
+        ["verify", "--suite", "props", "--d", "2", "--q", "25"],
     ],
 )
-def test_network_exports_match_goldens(capsys, argv):
+def test_cli_matches_goldens(capsys, argv):
     # the general (tc|) and one-component export bytes, node numbering and
-    # network order included, against the recorded CLI goldens
+    # network order included, and two verify reports, against the recorded
+    # CLI goldens
     goldens = json.loads(GOLDENS.read_text())["commands"]
     golden = next(g for g in goldens if g["argv"] == argv)
     code = cli.main(argv)
@@ -240,6 +250,18 @@ def test_network_exports_match_goldens(capsys, argv):
     assert code == golden["exit"]
     assert len(out) == golden["bytes"]
     assert hashlib.sha256(out).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize(
+    "suite,d",
+    [("tables", "7"), ("tables", "1"), ("formulas", "1"), ("words", "1"),
+     ("asym", "1"), ("props", "1")],
+)
+def test_verify_rejects_bad_d(capsys, suite, d):
+    assert cli.main(["verify", "--suite", suite, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
 def test_byte_determinism(capsys):
@@ -254,7 +276,7 @@ def test_byte_determinism(capsys):
 
 
 def test_big_integers_become_strings():
-    assert cli._jint(2**53 - 1) == 2**53 - 1
-    assert cli._jint(2**53) == str(2**53)
-    assert cli._jint(8485564550400) == 8485564550400
-    assert json.dumps(cli._jint(10**20)) == '"100000000000000000000"'
+    assert criteria.json_int(2**53 - 1) == 2**53 - 1
+    assert criteria.json_int(2**53) == str(2**53)
+    assert criteria.json_int(8485564550400) == 8485564550400
+    assert json.dumps(criteria.json_int(10**20)) == '"100000000000000000000"'

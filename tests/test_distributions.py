@@ -105,7 +105,6 @@ def test_bessel_limit_decreasing():
 
 
 def test_degenerate_small():
-    assert dist.degenerate_check(4, 100) >= 0.99
     assert dist.degenerate_check(5, 100) >= 0.999
     assert dist.degenerate_check(4, 100) <= 1.0
     with pytest.raises(ValueError):

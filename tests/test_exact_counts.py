@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from treechild import exact
+from treechild import criteria, exact
 
 
 def test_factorial_basics():
@@ -119,16 +119,22 @@ def test_tc_upper_bound():
     assert bound == tc_max and is_exact  # k = n-1: empty product
 
 
-def test_sandwich_and_step_inequalities_on_fixtures():
-    sqrt_e = math.sqrt(math.e)
-    for d in exact.fixture_d_values():
-        table = exact.appendix_table(d)
-        for n in table.n_values:
-            tc_max = table[(n, n - 1)]
-            total = table.row_sum(n)
-            assert tc_max <= total <= sqrt_e * tc_max
-            for k in range(n - 1):
-                assert 2 * (n - k - 1) * table[(n, k)] <= table[(n, k + 1)]
+def test_sandwich_and_step_inequalities_on_fixtures(monkeypatch):
+    # the criterion-6 check holds on the embedded tables, and on a table
+    # with one cell doctored it fails and names the broken step
+    assert criteria.sandwich()[0]
+    real = exact.appendix_table
+
+    def doctored(d):
+        table = real(d)
+        if d == 3:
+            table.entries[(5, 2)] = table[(5, 3)]
+        return table
+
+    monkeypatch.setattr(exact, "appendix_table", doctored)
+    ok, entries = criteria.sandwich()
+    assert not ok
+    assert {"check": "step", "d": 3, "n": 5, "k": 2, "ok": False} in entries
 
 
 def test_appendix_table_entries():

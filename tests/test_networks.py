@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
@@ -93,6 +94,11 @@ def test_validate_reports_out_of_range_edge(bad_edge):
     })
     with pytest.raises(ValueError, match="simple_graph"):
         nw.canonical_key(nw.from_json(data))
+    # the public adjacency lists refuse it too, naming the edge, instead of
+    # wrapping -1 to the last node or raising IndexError
+    for adjacency in (net.children, net.parents):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad_edge}")):
+            adjacency()
 
 
 def test_non_tree_child_detected():
