@@ -12,15 +12,15 @@ super-solution inequalities.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .distributions import modified_bessel_i
-from .words import c_log_sequence
+from .distributions import _i1_2
+from .words import c_log_sequence, tc_max_count_log
 
 _LOG2 = math.log(2.0)
 
@@ -132,13 +132,7 @@ def airy_root_a1() -> float:
     return 0.5 * (lo + hi)
 
 
-_A1_CACHE: list[float] = []
-
-
-def _a1() -> float:
-    if not _A1_CACHE:
-        _A1_CACHE.append(airy_root_a1())
-    return _A1_CACHE[0]
+_a1 = functools.cache(airy_root_a1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +163,23 @@ def params(d: int) -> AsymptoticParams:
         big_b=2.0 * (d - 1) / (d + 1),
         a1=_a1(),
     )
+
+
+def _s_factor(p: AsymptoticParams, n: int, sign: float) -> float:
+    """s-hat (sign = +1) or s-tilde (sign = -1) of the sweeps and the bound:
+    2 + a1 B^(2/3) n^(-2/3) - (3d^2-5d+4)/(3(d+1)n) + sign n^(-7/6)."""
+    mid = (3 * p.d * p.d - 5 * p.d + 4) / (3.0 * (p.d + 1))
+    return (
+        2.0
+        + p.a1 * p.big_b ** (2.0 / 3.0) / n ** (2.0 / 3.0)
+        - mid / n
+        + sign * n ** -(7.0 / 6.0)
+    )
+
+
+def _airy_arg(p: AsymptoticParams, n: int, m: int) -> float:
+    """a1 + B^(1/3)(m+1)/n^(1/3): where the ansatz for e_{n,m} evaluates Ai."""
+    return p.a1 + p.big_b ** (1.0 / 3.0) * (m + 1) / n ** (1.0 / 3.0)
 
 
 def mu(d: int, n: int, m):
@@ -222,9 +233,9 @@ class ESequence:
 def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     """Run the recurrence from e_{2,0} = 1 up to row n_max.
 
-    e_{n,m} = mu(n,m) e_{n-1,m+1} + nu(n,m) e_{n-1,m-1}; both coefficients
-    are checked positive on the populated range m < n-1 (a negative one
-    would mean the recurrence is being used outside its domain).
+    e_{n,m} = mu(n,m) e_{n-1,m+1} + nu(n,m) e_{n-1,m-1}, with mu > 1 and
+    nu > 0 for n >= 3, m >= 0: each factor of nu has numerator
+    (d+1)(n+m) - 2(m+i) >= (d+1)n + (d-1)m - 2d > 0 as i <= d.
 
     Each row is rescaled to maximum 1 and held only up to its last entry
     that is a normal double, but never below index keep_m + 1: arithmetic
@@ -241,12 +252,9 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     log_rows[2, 0] = 0.0
     for n in range(3, n_max + 1):
         width = len(work)
-        nu_v = nu(d, n, np.arange(0, n - 1))
-        if np.any(nu_v <= 0.0):
-            raise ArithmeticError(f"negative coefficient in row n={n}")
         new = np.zeros(width + 1)
         new[: width - 1] = mu(d, n, np.arange(0, width - 1)) * work[1:]
-        new[1:] += nu_v[1 : width + 1] * work
+        new[1:] += nu(d, n, np.arange(1, width + 1)) * work
         top = new.max()
         new /= top
         log_scale += math.log(top)
@@ -264,11 +272,14 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
 
 def theta_tc_max(d: int, n: int, a1: float | None = None) -> float:
     """ln of (n!)^d gamma^n e^(3 a1 beta n^(1/3)) n^alpha (constant omitted)."""
-    p = params(d)
+    return _log_theta(params(d), n, a1)
+
+
+def _log_theta(p: AsymptoticParams, n: int, a1: float | None) -> float:
     if a1 is None:
         a1 = p.a1
     return (
-        d * math.lgamma(n + 1)
+        p.d * math.lgamma(n + 1)
         + n * math.log(p.gamma)
         + 3.0 * a1 * p.beta * n ** (1.0 / 3.0)
         + p.alpha * math.log(n)
@@ -301,7 +312,7 @@ def otc_total_asymptotic(d: int, n: int) -> float:
             - 2.25 * math.log(n)
         )
     if d == 3:
-        const = modified_bessel_i(1, 2.0) * math.sqrt(3.0) / (9.0 * math.pi)
+        const = _i1_2() * math.sqrt(3.0) / (9.0 * math.pi)
         return (
             math.log(const)
             + 3.0 * math.lgamma(n + 1)
@@ -337,12 +348,12 @@ class FitResult:
             return None
         return abs(self.c1 - self.target_c1) / abs(self.target_c1)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         payload = {"c0": self.c0, "c1": self.c1, "c2": self.c2}
         if self.target_c1 is not None:
             payload["target_c1"] = self.target_c1
             payload["rel_err"] = self.rel_err
-        return json.dumps(payload)
+        return payload
 
 
 def stretched_fit(
@@ -401,13 +412,15 @@ def theta_residual_window(
     """
     if not 2 <= lo < hi:
         raise ValueError(f"bad window [{lo}, {hi}]")
+    p = params(d)
     if log_c is None:
         log_c = c_log_sequence(d, hi - 1)
-    ns = np.arange(lo, hi + 1)
+    # numpy integers: numpy's n ** (1/3) can differ from Python's in the
+    # last bit, and the residuals are pinned as numpy computes them
     res = np.array(
         [
-            math.lgamma(n + 1) + float(log_c[n - 1]) - theta_tc_max(d, n, a1=a1)
-            for n in ns
+            tc_max_count_log(d, n, log_c) - _log_theta(p, n, a1)
+            for n in np.arange(lo, hi + 1)
         ]
     )
     dyadic = []
@@ -455,22 +468,20 @@ class PropReport:
             threshold = n
         return threshold
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "check": self.check,
-                "q_coeff": self.q_coeff,
-                "eps": self.eps,
-                "eta": self.eta,
-                "samples": self.samples,
-                "violations": [
-                    {"n": n, "m": m, "lhs": lhs, "rhs": rhs}
-                    for n, m, lhs, rhs in self.violations
-                ],
-                "n_threshold": self.n_threshold,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "check": self.check,
+            "q_coeff": self.q_coeff,
+            "eps": self.eps,
+            "eta": self.eta,
+            "samples": self.samples,
+            "violations": [
+                {"n": n, "m": m, "lhs": lhs, "rhs": rhs}
+                for n, m, lhs, rhs in self.violations
+            ],
+            "n_threshold": self.n_threshold,
+        }
 
 
 def default_q_coeff(d: int) -> int:
@@ -510,12 +521,8 @@ def _prop_sweep(
     super_side: bool,
 ) -> PropReport:
     p = params(d)
-    a1 = p.a1
-    b13 = p.big_b ** (1.0 / 3.0)
-    b23 = p.big_b ** (2.0 / 3.0)
     quad = (2 * d - 1) / (3.0 * (d + 1))
     lin = q_coeff / (6.0 * (d + 1))
-    mid = (3 * d * d - 5 * d + 4) / (3.0 * (d + 1))
 
     def prefactor(n: int, m: int) -> float:
         out = 1.0 - quad * m * m / n - lin * m / n
@@ -523,21 +530,17 @@ def _prop_sweep(
             out += eta * m**4 / n**2
         return out
 
-    def log_ai(n: int, m: int) -> float:
-        return _airy_ai_log(a1 + b13 * (m + 1) / n ** (1.0 / 3.0))
-
     violations: list[tuple[int, int, float, float]] = []
     samples = 0
     for n in n_values:
-        s_n = 2.0 + a1 * b23 / n ** (2.0 / 3.0) - mid / n
-        s_n += n**-(7.0 / 6.0) if super_side else -(n ** -(7.0 / 6.0))
+        s_n = _s_factor(p, n, 1.0 if super_side else -1.0)
         m_cap = int(n**m_exponent)
         # row n-1 at m-1 and m+1 are entries m and m+2 of prev: each Airy
         # argument is evaluated once, not once per sample that uses it
-        prev = [log_ai(n - 1, m) for m in range(-1, m_cap + 1)]
+        prev = [_airy_ai_log(_airy_arg(p, n - 1, m)) for m in range(-1, m_cap + 1)]
         for m in range(0, m_cap):
             samples += 1
-            la0 = log_ai(n, m)
+            la0 = _airy_ai_log(_airy_arg(p, n, m))
             la_up = prev[m + 2]
             la_dn = prev[m]  # m=0 hits ln Ai(a1) = -inf: term 0
             top = max(la0, la_up, la_dn)
@@ -605,13 +608,7 @@ def check_supersolution(
 # ---------------------------------------------------------------------------
 
 def s_tilde(d: int, i: int) -> float:
-    p = params(d)
-    return (
-        2.0
-        + p.a1 * p.big_b ** (2.0 / 3.0) / i ** (2.0 / 3.0)
-        - (3 * d * d - 5 * d + 4) / (3.0 * (d + 1) * i)
-        - i ** -(7.0 / 6.0)
-    )
+    return _s_factor(params(d), i, -1.0)
 
 
 def lower_bound_product(d: int, n: int, start: int | None = None) -> float:
@@ -623,13 +620,14 @@ def lower_bound_product(d: int, n: int, start: int | None = None) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    p = params(d)
     if start is None:
         start = 1
-        while s_tilde(d, start) <= 0.0:
+        while _s_factor(p, start, -1.0) <= 0.0:
             start += 1
     total = 0.0
     for i in range(start, 2 * n + 1):
-        f = s_tilde(d, i)
+        f = _s_factor(p, i, -1.0)
         if f <= 0.0:
             raise ArithmeticError(f"non-positive factor s_tilde({d}, {i}) = {f}")
         total += math.log(f)
@@ -653,13 +651,10 @@ def airy_profile_deviation(seq: ESequence, n: int, count: int = 30) -> float:
         raise ValueError(f"row does not hold {count} admissible entries")
     m0 = ms[0]
     base = seq.log_e(n, m0)
-    ai_base = _airy_ai_log(p.a1 + p.big_b ** (1 / 3) * (m0 + 1) / n ** (1 / 3))
+    ai_base = _airy_ai_log(_airy_arg(p, n, m0))
     worst = 0.0
     for m in ms:
         ratio_e = math.exp(seq.log_e(n, m) - base)
-        ratio_ai = math.exp(
-            _airy_ai_log(p.a1 + p.big_b ** (1 / 3) * (m + 1) / n ** (1 / 3))
-            - ai_base
-        )
+        ratio_ai = math.exp(_airy_ai_log(_airy_arg(p, n, m)) - ai_base)
         worst = max(worst, abs(ratio_e - ratio_ai) / ratio_ai)
     return worst

@@ -72,6 +72,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.what == "words":
+        for flag, given in (("--k", args.k is not None),
+                            ("--one-component", args.one_component),
+                            ("--format dot", args.format == "dot")):
+            if given:
+                sys.stderr.write(f"enumerate words does not take {flag}\n")
+                return 2
         stream = list(words.enumerate_words(args.d, args.n, budget=args.budget))
         if args.format == "count":
             _emit(str(len(stream)))
@@ -158,6 +164,9 @@ def _cmd_verify(args) -> int:
         ok, report = _suite({"d": d}, criteria.word_oracle(d, args.budget),
                             criteria.dual_recurrence(d))
     elif suite == "sandwich":
+        if args.d is not None:
+            raise ValueError("the sandwich suite checks every reference table "
+                             "and takes no --d")
         ok, report = _suite({}, criteria.sandwich())
     elif suite == "props":
         q = asym.resolved_q_coeff(d) if args.q is None else args.q
@@ -184,8 +193,12 @@ def _cmd_dist(args) -> int:
             return 2
         if args.exploratory == "poisson":
             table = exact.appendix_table(2)
-            n = args.n if args.n is not None and args.n in table.n_values else None
-            report = dist.conjecture_poisson_report(table, n)
+            rows = table.n_values
+            if args.n is not None and args.n not in rows:
+                sys.stderr.write(f"--exploratory poisson takes --n in the reference "
+                                 f"rows {rows[0]}..{rows[-1]}, got {args.n}\n")
+                return 2
+            report = dist.conjecture_poisson_report(table, args.n)
         else:  # words conjecture
             n = args.n if args.n is not None else 4
             if n < 1:
@@ -268,7 +281,7 @@ def _cmd_asym(args) -> int:
             _envelope(
                 "asym",
                 {"what": "fit", "d": args.d, "n_max": args.n_max},
-                json.loads(fit.to_json()),
+                fit.to_dict(),
             )
         )
         return 0

@@ -9,7 +9,6 @@ them, so each tolerance is written here and nowhere else.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
@@ -224,6 +223,6 @@ def proposition_sweeps(d: int, q: int) -> tuple[bool, dict]:
     return ok, {
         "d": d,
         "q_coeff": q,
-        "subsolution": json.loads(sub.to_json()),
-        "supersolution": json.loads(sup.to_json()),
+        "subsolution": sub.to_dict(),
+        "supersolution": sup.to_dict(),
     }

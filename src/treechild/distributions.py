@@ -10,6 +10,7 @@ work happens in log space from the counting formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,14 +82,10 @@ def modified_bessel_i(v: int, a: float) -> float:
     return total
 
 
-_I1_AT_2 = None
-
-
+@functools.cache
 def _i1_2() -> float:
-    global _I1_AT_2
-    if _I1_AT_2 is None:
-        _I1_AT_2 = modified_bessel_i(1, 2.0)
-    return _I1_AT_2
+    """I_1(2), the normaliser of the Bessel(1,2) law."""
+    return modified_bessel_i(1, 2.0)
 
 
 def bessel_pmf(k: int) -> float:
@@ -130,7 +127,10 @@ def normal_limit_check(n: int) -> tuple[MomentSummary, float]:
 
     Standardization follows the limit law: z = (R - n + sqrt(n)) / (n/4)^(1/4).
     The lattice CDF is compared with the normal CDF at lattice midpoints.
+    At n = 1 the law is a point mass with no third moment, so n >= 2.
     """
+    if n < 2:
+        raise ValueError(f"leaf count n must be >= 2 for the normal limit, got {n}")
     pmf = r_pmf(2, n)
     probs = np.exp(pmf.log_probs)
     ks = np.arange(n, dtype=float)

@@ -199,6 +199,8 @@ def test_asym_fit_rejects_small_n_max(capsys, n_max):
         ["dist", "--d", "2", "--n", "0", "--limit", "normal"],
         ["dist", "--d", "3", "--n", "0", "--limit", "bessel"],
         ["dist", "--d", "4", "--n", "0", "--limit", "degenerate"],
+        # one leaf: a point mass, with no third moment to standardise
+        ["dist", "--d", "2", "--n", "1", "--limit", "normal"],
     ],
 )
 def test_dist_rejects_nonpositive_n(capsys, argv):
@@ -216,6 +218,9 @@ def test_dist_rejects_nonpositive_n(capsys, argv):
         ["dist", "--d", "3", "--n", "4", "--exploratory", "words"],
         ["dist", "--d", "2", "--n", "-2", "--exploratory", "words"],
         ["dist", "--d", "2", "--n", "0", "--exploratory", "words"],
+        # the Poisson report reads a reference row, and d=2 has rows 2..8
+        ["dist", "--d", "2", "--n", "1", "--exploratory", "poisson"],
+        ["dist", "--d", "2", "--n", "100", "--exploratory", "poisson"],
     ],
 )
 def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
@@ -224,6 +229,20 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--exploratory" in captured.err
+    if argv[1:3] == ["--d", "2"] and argv[-1] == "poisson":
+        assert "rows 2..8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
+    [(["--format", "dot"], "--format dot"), (["--k", "1"], "--k"),
+     (["--one-component"], "--one-component")],
+)
+def test_enumerate_words_rejects_network_flags(capsys, extra, flag):
+    assert cli.main(["enumerate", "words", "--d", "2", "--n", "2"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
 
 
 @pytest.mark.parametrize(
@@ -255,7 +274,9 @@ def test_cli_matches_goldens(capsys, argv):
 @pytest.mark.parametrize(
     "suite,d",
     [("tables", "7"), ("tables", "1"), ("formulas", "1"), ("words", "1"),
-     ("asym", "1"), ("props", "1")],
+     ("asym", "1"), ("props", "1"),
+     # the sandwich suite checks every reference table and takes no --d
+     ("sandwich", "2"), ("sandwich", "1")],
 )
 def test_verify_rejects_bad_d(capsys, suite, d):
     assert cli.main(["verify", "--suite", suite, "--d", d]) == 2

@@ -96,6 +96,8 @@ def test_normal_limit_small():
     assert 0.7 < moments.variance < 1.3
     assert moments.third_abs < 3.0
     assert sup < 0.1
+    with pytest.raises(ValueError):
+        dist.normal_limit_check(1)
 
 
 def test_bessel_limit_decreasing():
