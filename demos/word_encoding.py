@@ -9,6 +9,7 @@ reticulations.
 
 from collections import Counter
 
+from treechild import distributions as dist
 from treechild import exact, words
 
 d, n = 2, 2
@@ -47,10 +48,7 @@ for dd in exact.fixture_d_values():
 print()
 print("Exploratory (d=2): words with only the first k letters tripled,")
 print("compared against the conjectured identity TC(n,k) = n!/(n-k)! * c(n-1,k):")
-table = exact.appendix_table(2)
-n = 4
-for k in range(n):
-    v = words.cnk_words_count(n - 1, k)
-    predicted = exact.factorial(n) // exact.factorial(n - k) * v
-    print(f"  k={k}: word count {v:4d} -> predicted {predicted:5d}, "
-          f"fixture {table[(n, k)]}")
+report = dist.conjecture_words_report(exact.appendix_table(2), 4)
+for row in report["comparison"]:
+    print(f"  k={row['k']}: word count {row['word_count']:4d} -> predicted "
+          f"{row['predicted_tc']:5d}, fixture {row['fixture_tc']}")

@@ -1,79 +1,3 @@
 """Exact and asymptotic enumeration of d-combining tree-child networks."""
 
 __version__ = "0.1.0"
-
-from .exact import (
-    CountTable,
-    Provenance,
-    appendix_table,
-    binomial,
-    double_factorial_odd,
-    factorial,
-    node_counts,
-    otc_count,
-    otc_count_log,
-    otc_total,
-    otc_total_log,
-    tc_upper_bound,
-)
-from .words import (
-    BTable,
-    BudgetExceeded,
-    MalformedWordError,
-    b_table_int,
-    b_table_rational,
-    bnn_identity_check,
-    c_count,
-    c_log_sequence,
-    cnk_words_count,
-    enumerate_words,
-    is_member,
-    suffix_index,
-    tc_max_count,
-    word_to_str,
-)
-from .networks import (
-    PhyloNetwork,
-    ValidationReport,
-    candidate_edges,
-    canonical_key,
-    count_otc_networks,
-    count_tc_networks,
-    enumerate_otc,
-    enumerate_tc,
-    free_edges,
-    is_one_component,
-    is_tree_child,
-    otc_insertion,
-    ret_insertion,
-    validate,
-)
-from .asymptotics import (
-    AsymptoticParams,
-    ESequence,
-    airy_ai,
-    airy_root_a1,
-    check_subsolution,
-    check_supersolution,
-    e_sequence,
-    fit_e_diagonal,
-    fixed_k_asymptotic,
-    lower_bound_product,
-    otc_total_asymptotic,
-    params,
-    stretched_fit,
-    theta_residual_window,
-    theta_tc_max,
-)
-from .distributions import (
-    MomentSummary,
-    Pmf,
-    bessel_limit_check,
-    bessel_pmf,
-    conjecture_poisson_report,
-    degenerate_check,
-    modified_bessel_i,
-    normal_limit_check,
-    otc_tail_expansion,
-    r_pmf,
-)

@@ -20,6 +20,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .distributions import _i1_2
+from .exact import _check_params
 from .words import c_log_sequence, tc_max_count_log
 
 _LOG2 = math.log(2.0)
@@ -288,6 +289,7 @@ def _log_theta(p: AsymptoticParams, n: int, a1: float | None) -> float:
 
 def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
     """ln of the fixed-k first-order term for general tree-child counts."""
+    _check_params(d, n)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return (
@@ -303,6 +305,7 @@ def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
 
 def otc_total_asymptotic(d: int, n: int) -> float:
     """ln of the first-order asymptotics of the one-component total."""
+    _check_params(d, n)
     if d == 2:
         return (
             -math.log(4.0 * math.pi) - 0.5

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -186,6 +185,14 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_dist(args) -> int:
+    csv = args.format == "csv"
+    for mode, flag, given in (
+            ("--exploratory", "--limit", args.exploratory and args.limit),
+            ("--exploratory", "--format csv", args.exploratory and csv),
+            ("--limit", "--format csv", args.limit and csv)):
+        if given:
+            sys.stderr.write(f"dist {mode} does not take {flag}\n")
+            return 2
     params = {"d": args.d, "n": args.n}
     if args.exploratory:
         if args.d != 2:
@@ -204,22 +211,12 @@ def _cmd_dist(args) -> int:
             if n < 1:
                 sys.stderr.write("--exploratory words requires --n >= 1\n")
                 return 2
-            rows = []
-            table = exact.appendix_table(2)
-            for k in range(n):
-                v = words.cnk_words_count(n - 1, k, budget=args.budget)
-                predicted = math.factorial(n) // math.factorial(n - k) * v
-                rows.append(
-                    {
-                        "k": k,
-                        "word_count": criteria.json_int(v),
-                        "predicted_tc": criteria.json_int(predicted),
-                        "fixture_tc": criteria.json_int(table[(n, k)])
-                        if (n, k) in table
-                        else None,
-                    }
-                )
-            report = {"n": n, "comparison": rows}
+            report = dist.conjecture_words_report(
+                exact.appendix_table(2), n, budget=args.budget)
+            for row in report["comparison"]:
+                for key in ("word_count", "predicted_tc", "fixture_tc"):
+                    if row[key] is not None:
+                        row[key] = criteria.json_int(row[key])
         _emit(_envelope("dist", {**params, "exploratory": args.exploratory}, report))
         return 0
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import CountTable, _check_params, otc_count_log
+from .words import DEFAULT_WORD_BUDGET, cnk_words_count
 
 
 @dataclass
@@ -180,8 +181,11 @@ def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:
     """
     if table.d != 2:
         raise ValueError("the Poisson conjecture concerns d = 2")
+    rows_n = table.n_values
     if n is None:
-        n = max(table.n_values)
+        n = rows_n[-1]
+    elif n not in rows_n:
+        raise ValueError(f"the table has rows {rows_n[0]}..{rows_n[-1]}, got n={n}")
     row = table.row(n)
     total = sum(row)
     rows = []
@@ -195,3 +199,31 @@ def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:
             }
         )
     return {"d": 2, "n": n, "comparison": rows}
+
+
+def conjecture_words_report(
+    table: CountTable, n: int, budget: int = DEFAULT_WORD_BUDGET
+) -> dict:
+    """Word counts vs the conjectured identity TC(n,k) = n!/(n-k)! c(n-1,k).
+
+    Exploratory, d = 2: c(n-1,k) counts the words on n-1 letters with the
+    first k tripled (words.cnk_words_count).  Each row holds the word
+    count, the predicted TC(n,k) and the table's TC(n,k), or None where
+    the table has no such cell.  Report only, never asserted.
+    """
+    if table.d != 2:
+        raise ValueError("the words conjecture concerns d = 2")
+    if n < 1:
+        raise ValueError(f"leaf count n must be >= 1, got {n}")
+    rows = []
+    for k in range(n):
+        v = cnk_words_count(n - 1, k, budget=budget)
+        rows.append(
+            {
+                "k": k,
+                "word_count": v,
+                "predicted_tc": math.factorial(n) // math.factorial(n - k) * v,
+                "fixture_tc": table[(n, k)] if (n, k) in table else None,
+            }
+        )
+    return {"n": n, "comparison": rows}

@@ -11,15 +11,8 @@ provided for asymptotic work at large n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class Provenance(Enum):
-    FORMULA = "formula"
-    PAPER_FIXTURE = "paper_fixture"
 
 
 @dataclass
@@ -28,7 +21,6 @@ class CountTable:
 
     d: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    provenance: Provenance = Provenance.FORMULA
 
     def __getitem__(self, nk: tuple[int, int]) -> int:
         return self.entries[nk]
@@ -46,37 +38,6 @@ class CountTable:
 
     def row_sum(self, n: int) -> int:
         return sum(self.row(n))
-
-    def to_csv(self) -> str:
-        lines = ["n,k,count"]
-        for n, k in sorted(self.entries):
-            lines.append(f"{n},{k},{self.entries[(n, k)]}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        # counts as decimal strings: JSON consumers must not round-trip
-        # these through 64-bit floats
-        payload = {
-            "d": self.d,
-            "provenance": self.provenance.value,
-            "entries": [
-                {"n": n, "k": k, "count": str(self.entries[(n, k)])}
-                for n, k in sorted(self.entries)
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountTable":
-        payload = json.loads(text)
-        entries = {
-            (e["n"], e["k"]): int(e["count"]) for e in payload["entries"]
-        }
-        return cls(
-            d=payload["d"],
-            entries=entries,
-            provenance=Provenance(payload.get("provenance", "formula")),
-        )
 
 
 def factorial(m: int) -> int:
@@ -248,7 +209,7 @@ def appendix_table(d: int) -> CountTable:
         for n, row in _TC_FIXTURES[d].items()
         for k, v in enumerate(row)
     }
-    return CountTable(d=d, entries=entries, provenance=Provenance.PAPER_FIXTURE)
+    return CountTable(d=d, entries=entries)
 
 
 def fixture_d_values() -> list[int]:

@@ -30,7 +30,7 @@ and its single child, which differ in role (Cardona, Rossello and Valiente,
 alone numbers the nodes canonically.
 
 canonical_key and canonical_form validate and canonicalise any network
-they are given, and so do the public exporters to_json, to_dot and export.
+they are given, and so do the public exporters to_json and to_dot.
 The enumerators enumerate_tc and enumerate_otc return networks that are
 already canonical forms; the private writers _json_payload and _dot_text
 take such a network as it is and do not renumber it.
@@ -860,11 +860,3 @@ def _dot_text(cf: PhyloNetwork, name: str) -> str:
         lines.append(f"  n{u} -> n{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export(net: PhyloNetwork, format: str) -> bytes:
-    if format == "json":
-        return to_json(net)
-    if format == "dot":
-        return to_dot(net)
-    raise ValueError(f"unknown export format {format!r}")

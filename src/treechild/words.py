@@ -15,7 +15,6 @@ integer-only dynamic program and as an exact-rational two-term recurrence
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,24 +193,6 @@ class BTable:
         if n < 1 or n > self.n_max:
             raise ValueError(f"n={n} outside table range 1..{self.n_max}")
         return sum(self.rows[n][1:])
-
-    def to_csv(self) -> str:
-        lines = ["n,k,count"]
-        for n in range(1, self.n_max + 1):
-            for m in range(1, n + 1):
-                lines.append(f"{n},{m},{self.rows[n][m]}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "entries": [
-                {"n": n, "k": m, "count": str(self.rows[n][m])}
-                for n in range(1, self.n_max + 1)
-                for m in range(1, n + 1)
-            ],
-        }
-        return json.dumps(payload)
 
 
 def _b_rows(d: int) -> Iterator[list[int]]:

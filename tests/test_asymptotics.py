@@ -195,6 +195,19 @@ def test_fixed_k_asymptotic():
     assert d1 == pytest.approx(d0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "d,n,name",
+    [(1, 10, "multiplicity d"), (2, 0, "leaf count n"), (3, -4, "leaf count n")],
+)
+def test_asymptotic_terms_reject_bad_parameters(d, n, name):
+    # checked at the boundary, as otc_count is: d = 1 used to give a number
+    # and n = 0 a math domain error
+    with pytest.raises(ValueError, match=name):
+        asym.fixed_k_asymptotic(d, n, 1)
+    with pytest.raises(ValueError, match=name):
+        asym.otc_total_asymptotic(d, n)
+
+
 def test_otc_total_asymptotic_agrees_with_exact():
     for d, tol in [(2, 0.02), (3, 0.01), (4, 0.01), (5, 0.02)]:
         ratio = math.exp(

@@ -235,6 +235,22 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
 
 @pytest.mark.parametrize(
     "extra,flag",
+    [(["--n", "8", "--exploratory", "poisson", "--limit", "normal"], "--limit"),
+     (["--n", "4", "--exploratory", "words", "--limit", "bessel"], "--limit"),
+     (["--n", "8", "--exploratory", "poisson", "--format", "csv"], "--format csv"),
+     (["--n", "4", "--exploratory", "words", "--format", "csv"], "--format csv"),
+     (["--n", "8", "--limit", "normal", "--format", "csv"], "--format csv")],
+)
+def test_dist_rejects_ignored_flags(capsys, extra, flag):
+    # a flag that the chosen report would not read is an error, not a no-op
+    assert cli.main(["dist", "--d", "2"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith(f" {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
     [(["--format", "dot"], "--format dot"), (["--k", "1"], "--k"),
      (["--one-component"], "--one-component")],
 )

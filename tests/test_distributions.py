@@ -124,6 +124,29 @@ def test_poisson_report_matches_fixture_row():
     assert sum(dist.poisson_pmf(j) for j in range(50)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [1, 100])
+def test_poisson_report_rejects_missing_row(n):
+    with pytest.raises(ValueError, match=r"rows 2\.\.8"):
+        dist.conjecture_poisson_report(exact.appendix_table(2), n)
+
+
+def test_words_report_matches_fixture_row():
+    report = dist.conjecture_words_report(exact.appendix_table(2), 4)
+    rows = report["comparison"]
+    assert [row["k"] for row in rows] == [0, 1, 2, 3]
+    assert [row["fixture_tc"] for row in rows] == exact.appendix_table(2).row(4)
+    # at k = n-1 the identity is the proven one, TC(n,n-1) = n! c(n-1)
+    assert rows[3]["predicted_tc"] == rows[3]["fixture_tc"] == 2544
+    # outside the table the fixture column is empty
+    assert dist.conjecture_words_report(exact.appendix_table(2), 1)[
+        "comparison"] == [{"k": 0, "word_count": 1, "predicted_tc": 1,
+                           "fixture_tc": None}]
+    with pytest.raises(ValueError):
+        dist.conjecture_words_report(exact.appendix_table(3), 4)
+    with pytest.raises(ValueError):
+        dist.conjecture_words_report(exact.appendix_table(2), 0)
+
+
 def test_pmf_csv_dump():
     pmf = dist.r_pmf(2, 4)
     csv = pmf.to_csv()

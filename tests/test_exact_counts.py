@@ -145,18 +145,6 @@ def test_appendix_table_entries():
         exact.appendix_table(7)
 
 
-def test_count_table_serialization():
-    table = exact.appendix_table(2)
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "n,k,count"
-    assert "4,3,2544" in csv
-    parsed = exact.CountTable.from_json(table.to_json())
-    assert parsed.entries == table.entries
-    assert parsed.d == 2
-    # counts are decimal strings in JSON
-    assert '"count": "8485564550400"' in table.to_json()
-
-
 def test_otc_count_log_matches_exact():
     for d in (2, 3, 5):
         for n in (5, 40, 200):

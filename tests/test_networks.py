@@ -488,6 +488,3 @@ def test_export_deterministic_across_isomorphs():
     rotated = permuted(net, list(range(1, net.num_nodes)) + [0])
     assert nw.to_json(net) == nw.to_json(rotated)
     assert nw.to_dot(net) == nw.to_dot(rotated)
-    assert nw.export(net, "json") == nw.to_json(net)
-    with pytest.raises(ValueError):
-        nw.export(net, "newick")

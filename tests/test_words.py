@@ -211,9 +211,3 @@ def test_c_log_sequence_matches_exact():
 def test_word_to_str_formats():
     assert words.word_to_str((1, 2, 1), 2) == "121"
     assert words.word_to_str((10, 2), 10) == "10,2"
-
-
-def test_btable_serialization():
-    table = words.b_table_int(2, 3)
-    assert "n,k,count" in table.to_csv()
-    assert '"count": "4"' in table.to_json()
