@@ -290,8 +290,8 @@ def _log_theta(p: AsymptoticParams, n: int, a1: float | None) -> float:
 def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
     """ln of the fixed-k first-order term for general tree-child counts."""
     _check_params(d, n)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if k < 0 or k > n - 1:
+        raise ValueError(f"k={k} out of range for n={n}")
     return (
         ((4 - d) * k - 1) * _LOG2
         - k * math.lgamma(d + 1)

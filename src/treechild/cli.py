@@ -103,29 +103,26 @@ def _cmd_enumerate(args) -> int:
         nets = nw.enumerate_otc(args.d, args.n, k, budget=args.budget)
     else:
         nets = nw.enumerate_tc(args.d, args.n, k, budget=args.budget)
-    # the enumerators return canonical forms, so the private writers
-    # serialise them as they are
+    # the search has finished, so nothing below can exceed the budget; the
+    # enumerators return canonical forms, and each is serialised as it is
+    # read, one network at a time
+    out = sys.stdout
     if args.format == "dot":
-        sys.stdout.write(
-            "".join(nw._dot_text(net, f"net{i}") for i, net in enumerate(nets))
-        )
-    else:
-        _emit(
-            _envelope(
-                "enumerate",
-                {
-                    "what": "networks",
-                    "d": args.d,
-                    "n": args.n,
-                    "k": k,
-                    "one_component": bool(args.one_component),
-                },
-                {
-                    "count": len(nets),
-                    "networks": [nw._json_payload(net) for net in nets],
-                },
-            )
-        )
+        for i, net in enumerate(nets):
+            out.write(nw._dot_text(net, f"net{i}"))
+        return 0
+    params = {"what": "networks", "d": args.d, "n": args.n, "k": k,
+              "one_component": bool(args.one_component)}
+    # the envelope of an empty list, split around that list
+    head, tail = _envelope(
+        "enumerate", params, {"count": len(nets), "networks": []}
+    ).split('"networks": []')
+    out.write(head + '"networks": [')
+    for i, net in enumerate(nets):
+        if i:
+            out.write(", ")
+        out.write(json.dumps(nw._json_payload(net)))
+    out.write("]" + tail + "\n")
     return 0
 
 
@@ -189,7 +186,9 @@ def _cmd_dist(args) -> int:
     for mode, flag, given in (
             ("--exploratory", "--limit", args.exploratory and args.limit),
             ("--exploratory", "--format csv", args.exploratory and csv),
-            ("--limit", "--format csv", args.limit and csv)):
+            ("--limit", "--format csv", args.limit and csv),
+            ("without --exploratory words", "--budget",
+             args.budget is not None and args.exploratory != "words")):
         if given:
             sys.stderr.write(f"dist {mode} does not take {flag}\n")
             return 2
@@ -211,8 +210,9 @@ def _cmd_dist(args) -> int:
             if n < 1:
                 sys.stderr.write("--exploratory words requires --n >= 1\n")
                 return 2
+            budget = words.DEFAULT_WORD_BUDGET if args.budget is None else args.budget
             report = dist.conjecture_words_report(
-                exact.appendix_table(2), n, budget=args.budget)
+                exact.appendix_table(2), n, budget=budget)
             for row in report["comparison"]:
                 for key in ("word_count", "predicted_tc", "fixture_tc"):
                     if row[key] is not None:
@@ -344,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", choices=["bessel", "normal", "degenerate"])
     p.add_argument("--exploratory", choices=["poisson", "words"])
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--budget", type=int, default=words.DEFAULT_WORD_BUDGET)
+    p.add_argument("--budget", type=int,
+                   help="word budget of --exploratory words (default "
+                   f"{words.DEFAULT_WORD_BUDGET})")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("asym", help="asymptotic formulas and fits")

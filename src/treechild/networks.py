@@ -33,12 +33,16 @@ canonical_key and canonical_form validate and canonicalise any network
 they are given, and so do the public exporters to_json and to_dot.
 The enumerators enumerate_tc and enumerate_otc return networks that are
 already canonical forms; the private writers _json_payload and _dot_text
-take such a network as it is and do not renumber it.
+take such a network as it is and do not renumber it.  enumerate_tc returns
+a list.  enumerate_otc keeps only the sorted root coordinates and returns a
+read-only sequence that builds each network when it is read, so a writer
+that takes one network at a time never holds more than one.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
@@ -506,6 +510,12 @@ def _oc_key(root_edge: Coord) -> bytes:
     return b"oc|" + repr(root_edge).encode()
 
 
+def _oc_network(root_edge: Coord, d: int) -> PhyloNetwork:
+    """The canonical form of the one-component network with this root coord."""
+    rets = sorted(_coord_labels(root_edge)[1])
+    return _coord_to_network((root_edge, *(((), (0, name)) for name in rets)), d)
+
+
 def _canonical(
     net: PhyloNetwork, children: list[list[int]]
 ) -> tuple[bytes, PhyloNetwork]:
@@ -519,9 +529,7 @@ def _canonical(
     """
     if _rets_lead_to_leaves(net, children):
         root_edge = _network_to_coord(net, children)
-        rets = sorted(_coord_labels(root_edge)[1])
-        coord = (root_edge, *(((), (0, name)) for name in rets))
-        return _oc_key(root_edge), _coord_to_network(coord, net.d)
+        return _oc_key(root_edge), _oc_network(root_edge, net.d)
     form = _renumbered_by_mu(net, children)
     roles = ",".join(form.roles)
     key = f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}"
@@ -763,18 +771,37 @@ def count_otc_networks(
 
 def enumerate_otc(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
-) -> list[PhyloNetwork]:
+) -> Sequence[PhyloNetwork]:
     """All one-component networks with n leaves and k reticulations.
 
     Every reticulation block is one leaf and every stub sits in the root
-    component.  Each network is built from its canonical coordinates, so
-    canonical_form(x) == x for every x returned.  The result is sorted by
-    root coordinate as a tuple, which is not the byte order of the ``oc|``
-    keys that spell those coordinates out.
+    component.  The search runs to the end here, but only the root
+    coordinates are kept: the result is a lazy read-only sequence that
+    builds each network from its coordinate when it is read, so every
+    element is a canonical form (canonical_form(x) == x).  It supports
+    len(), indexing, slicing (which gives a list) and iteration.  It is
+    sorted by root coordinate as a tuple, which is not the byte order of
+    the ``oc|`` keys that spell those coordinates out.
     """
     _check_params(d, n, k)
-    coords = sorted(_attach(*s) for s in _tc_search(d, n, k, budget, True))
-    return [_coord_to_network(c, d) for c in coords]
+    return _OneComponentNetworks(
+        sorted(_attach(*s)[0] for s in _tc_search(d, n, k, budget, True)), d
+    )
+
+
+class _OneComponentNetworks(Sequence):
+    """Networks built on each read from a list of one-component root coords."""
+
+    def __init__(self, root_edges: list[Coord], d: int):
+        self._root_edges, self._d = root_edges, d
+
+    def __len__(self) -> int:
+        return len(self._root_edges)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_oc_network(e, self._d) for e in self._root_edges[i]]
+        return _oc_network(self._root_edges[i], self._d)
 
 
 def enumerate_tc(

@@ -208,6 +208,13 @@ def test_asymptotic_terms_reject_bad_parameters(d, n, name):
         asym.otc_total_asymptotic(d, n)
 
 
+@pytest.mark.parametrize("n,k", [(3, 7), (3, 3), (1, 1), (4, -1)])
+def test_fixed_k_asymptotic_rejects_k_outside_0_to_n_minus_1(n, k):
+    # a network on n leaves has at most n-1 reticulations, as in otc_count_log
+    with pytest.raises(ValueError, match="out of range"):
+        asym.fixed_k_asymptotic(2, n, k)
+
+
 def test_otc_total_asymptotic_agrees_with_exact():
     for d, tol in [(2, 0.02), (3, 0.01), (4, 0.01), (5, 0.02)]:
         ratio = math.exp(

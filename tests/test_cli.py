@@ -1,13 +1,16 @@
 import hashlib
 import json
 import re
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from treechild import __version__, cli, criteria
 from treechild import asymptotics as asym
-from treechild import cli, criteria
 from treechild import distributions as dist
+from treechild import networks as nw
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "readme_cli_goldens.json"
 
@@ -140,10 +143,19 @@ def test_enumerate_networks_bad_parameters(capsys, one_component, d, n, k):
     assert captured.err.count("\n") == 1 and "bad parameters" in captured.err
 
 
-@pytest.mark.parametrize("one_component", [False, True])
-def test_enumerate_networks_budget_exceeded(capsys, one_component):
+BUDGET_CASES = [(oc, fmt) for fmt in ("count", "json", "dot") for oc in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "one_component,fmt", BUDGET_CASES,
+    # stable ids: a count case is named by one_component alone
+    ids=[f"{oc}" if fmt == "count" else f"{oc}-{fmt}" for oc, fmt in BUDGET_CASES],
+)
+def test_enumerate_networks_budget_exceeded(capsys, one_component, fmt):
+    # the exports write only after the search has finished, so a search
+    # cut short leaves stdout empty
     argv = ["enumerate", "networks", "--d", "2", "--n", "4", "--k", "2",
-            "--format", "count", "--budget", "10"]
+            "--format", fmt, "--budget", "10"]
     code = cli.main(argv + (["--one-component"] if one_component else []))
     captured = capsys.readouterr()
     assert code == 3
@@ -239,7 +251,10 @@ def test_dist_exploratory_rejects_bad_parameters(capsys, argv):
      (["--n", "4", "--exploratory", "words", "--limit", "bessel"], "--limit"),
      (["--n", "8", "--exploratory", "poisson", "--format", "csv"], "--format csv"),
      (["--n", "4", "--exploratory", "words", "--format", "csv"], "--format csv"),
-     (["--n", "8", "--limit", "normal", "--format", "csv"], "--format csv")],
+     (["--n", "8", "--limit", "normal", "--format", "csv"], "--format csv"),
+     (["--n", "5", "--limit", "normal", "--budget", "10"], "--budget"),
+     (["--n", "8", "--exploratory", "poisson", "--budget", "1"], "--budget"),
+     (["--n", "6", "--budget", "10"], "--budget")],
 )
 def test_dist_rejects_ignored_flags(capsys, extra, flag):
     # a flag that the chosen report would not read is an error, not a no-op
@@ -299,6 +314,69 @@ def test_verify_rejects_bad_d(capsys, suite, d):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+STREAM_CELLS = [(2, 1, 0)] + [(2, 3, k) for k in range(3)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("one_component", [False, True])
+@pytest.mark.parametrize("d,n,k", STREAM_CELLS)
+def test_streamed_export_equals_whole_document(capsys, d, n, k, one_component,
+                                               fmt):
+    # the export writes one network at a time; its bytes are those of the
+    # whole document serialised at once (n = 1 has one network, so no
+    # separator)
+    argv = ["enumerate", "networks", "--d", str(d), "--n", str(n), "--k", str(k),
+            "--format", fmt] + (["--one-component"] if one_component else [])
+    nets = list((nw.enumerate_otc if one_component else nw.enumerate_tc)(d, n, k))
+    if fmt == "dot":
+        want = "".join(nw._dot_text(net, f"net{i}") for i, net in enumerate(nets))
+    else:
+        want = json.dumps({
+            "command": "enumerate",
+            "params": {"what": "networks", "d": d, "n": n, "k": k,
+                       "one_component": one_component},
+            "result": {"count": len(nets),
+                       "networks": [nw._json_payload(net) for net in nets]},
+            "version": __version__,
+        }) + "\n"
+    assert run(capsys, *argv) == (0, want)
+
+
+class _HashSink:
+    """A stdout that keeps only the SHA-256 and the length of what it gets."""
+
+    def __init__(self):
+        self.sha, self.bytes = hashlib.sha256(), 0
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.sha.update(data)
+        self.bytes += len(data)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_one_component_export_memory_is_below_its_output():
+    # 3360 networks, 2.15 MB of JSON: the export holds the sorted root
+    # coordinates and one network at a time, not the whole document
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(["enumerate", "networks", "--d", "3", "--n", "4",
+                             "--k", "2", "--one-component", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.bytes == 2150445
+    assert sink.sha.hexdigest() == (
+        "609475ca30c42e18541b90789c6f371bcd05a854a7da601ec375f3c6be6c49d4")
+    assert peak < 2 * sink.bytes
 
 
 def test_byte_determinism(capsys):

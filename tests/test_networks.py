@@ -411,6 +411,22 @@ def test_enumerate_tc_matches_fixtures(d, n, k, expected):
                 assert all(net.roles[p] == nw.TREE for p in parents[i])
 
 
+@pytest.mark.parametrize("d,n,k", [(2, 1, 0), (2, 3, 1), (3, 3, 2)])
+def test_enumerate_otc_is_a_lazy_sequence_of_sorted_coordinates(d, n, k):
+    # the networks of the sorted coordinates that the search yields, built
+    # when read; len, indexing, slicing and iteration all agree with them
+    coords = sorted(nw._attach(*s) for s in nw._tc_search(d, n, k, 10**6, True))
+    want = [nw._coord_to_network(c, d) for c in coords]
+    nets = nw.enumerate_otc(d, n, k)
+    assert len(nets) == len(want) == exact.otc_count(d, n, k)
+    assert list(nets) == want
+    assert [nets[i] for i in range(len(want))] == want
+    assert nets[-1] == want[-1]
+    assert nets[1:4] == want[1:4] and nets[:] == want
+    with pytest.raises(IndexError):
+        nets[len(want)]
+
+
 def test_enumerate_tc_one_component_subset_matches_otc():
     # filtering the general enumeration with the node-level one-component
     # check recovers the closed formula
