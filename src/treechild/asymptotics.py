@@ -418,6 +418,10 @@ def theta_residual_window(
     p = params(d)
     if log_c is None:
         log_c = c_log_sequence(d, hi - 1)
+    elif len(log_c) < hi:
+        raise ValueError(
+            f"log_c has length {len(log_c)}, need at least {hi} for hi={hi}"
+        )
     # numpy integers: numpy's n ** (1/3) can differ from Python's in the
     # last bit, and the residuals are pinned as numpy computes them
     res = np.array(

@@ -195,29 +195,48 @@ class BTable:
         return sum(self.rows[n][1:])
 
 
-def _b_rows(d: int) -> Iterator[list[int]]:
+def _b_rows(
+    d: int, guard: int | None = None
+) -> Iterator[tuple[list[int], list[int], int]]:
     """Rows [0, b(n,1), ..., b(n,n)] of the b-table for n = 1, 2, ...
 
     Integer-only: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j), so row n
     is the prefix sums of row n-1 (with b(n-1,n) = 0), scaled in place to
     hold no third row of big integers.
+
+    Yields (lo, hi, shift) with lo * 2**shift <= row <= hi * 2**shift
+    entrywise.  Without a guard the rows are exact: lo is hi and shift is
+    0.  With a guard, once a row's last (largest) entry is longer than
+    guard bits, the row is cut back to guard bits after its products,
+    lo rounded down and hi rounded up; lo is hi until the first cut.
     """
     _check_d(d)
-    row = [0, 1]  # b(1,1) = 1
+    lo = hi = [0, 1]  # b(1,1) = 1
+    shift = 0
     while True:
-        yield row
-        n = len(row)
-        row = list(accumulate(row))
-        row.append(row[-1])
-        for m in range(1, n + 1):
-            row[m] *= math.comb(d * n + m - 2, d - 1)
+        yield lo, hi, shift
+        n = len(lo)
+        scale = [math.comb(d * n + m - 2, d - 1) for m in range(1, n + 1)]
+        rows = []
+        for row in (lo,) if lo is hi else (lo, hi):
+            row = list(accumulate(row))
+            row.append(row[-1])
+            for m in range(1, n + 1):
+                row[m] *= scale[m - 1]
+            rows.append(row)
+        lo, hi = rows[0], rows[-1]
+        cut = 0 if guard is None else hi[-1].bit_length() - guard
+        if cut > 0:
+            lo = [x >> cut for x in lo]
+            hi = [-(-x >> cut) for x in hi]
+            shift += cut
 
 
 def b_table_int(d: int, n_max: int) -> BTable:
     """Integer-only dynamic program: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows: list[list[int]] = [[], *islice(_b_rows(d), n_max)]
+    rows = [[], *(row for row, _, _ in islice(_b_rows(d), n_max))]
     return BTable(d=d, n_max=n_max, rows=rows)
 
 
@@ -260,7 +279,8 @@ def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return sum(next(islice(_b_rows(d), n - 1, None)))
+    row, _, _ = next(islice(_b_rows(d), n - 1, None))
+    return sum(row)
 
 
 def tc_max_count(d: int, n: int) -> int:
@@ -278,19 +298,57 @@ def bnn_identity_check(d: int, n: int) -> bool:
     return table.b(n, n) == binomial((d + 1) * n - 2, d - 1) * table.c(n - 1)
 
 
-def c_log_sequence(d: int, n_max: int) -> np.ndarray:
-    """ln c_n for n = 1..n_max, exact integer rows with O(row) memory.
+def _round53(x: int) -> int:
+    """x >= 0 rounded to 53 significant bits, ties to even.
 
-    c_n is read off row n+1 through the identity of bnn_identity_check,
-    b(n+1, n+1) = C((d+1)(n+1) - 2, d-1) * c_n: one exact division by a
-    small binomial per row instead of a sum over the row.  Only the current
-    b-table row is held; entry [0] of the result is NaN padding.
+    This is the rounding of CPython's int -> float conversion and of
+    _PyLong_Frexp, so math.log(x) depends on x only through _round53(x).
+    """
+    cut = x.bit_length() - 53
+    if cut <= 0:
+        return x
+    q = x >> cut
+    rest = x - (q << cut)
+    half = 1 << (cut - 1)
+    if rest > half or (rest == half and q & 1):
+        q += 1
+    return q << cut
+
+
+def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:
+    """ln c_n for n = 1..n_max from the rows of _b_rows(d, guard), or None
+    if the bracket on some c_n is too wide to fix its 53-bit rounding."""
+    out = np.full(n_max + 1, np.nan)
+    for n, (lo, hi, shift) in zip(range(1, n_max + 1), _b_rows(d, guard)):
+        lo_sum = sum(lo)
+        if lo is not hi and _round53(lo_sum) != _round53(sum(hi)):
+            return None
+        out[n] = math.log(lo_sum << shift)
+    return out
+
+
+def c_log_sequence(d: int, n_max: int) -> np.ndarray:
+    """ln c_n for n = 1..n_max, equal to math.log(c_count(d, n)) bit for bit.
+
+    The b-table rows are carried as fixed-point brackets of about
+    128 + n_max/2 bits (_b_rows with a guard) instead of exact integers.
+    Every entry is >= 0 and the recurrence uses only prefix sums and
+    products by positive integers, both monotone, so rounding lo down and
+    hi up after each row keeps lo * 2**shift <= row <= hi * 2**shift, and
+    c_n, the sum of row n, lies between the sums of lo and hi times
+    2**shift.  Rounding to 53 bits half-even is monotone too, so when both
+    sums round to the same 53-bit value, c_n rounds to it as well, and
+    math.log, which reads a big int only through that rounding, gives the
+    same double for lo_sum << shift as for c_n.  If some n is not
+    certified the whole sequence is redone with the guard doubled; this
+    ends, because a guard longer than every entry cuts nothing and leaves
+    the exact rows.  Entry [0] of the result is NaN padding.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    out = np.full(n_max + 1, np.nan)
-    for n, row in zip(range(1, n_max + 1), islice(_b_rows(d), 1, None)):
-        out[n] = math.log(row[-1] // math.comb((d + 1) * (n + 1) - 2, d - 1))
+    guard = 128 + n_max // 2
+    while (out := _c_log_bracket(d, n_max, guard)) is None:
+        guard *= 2
     return out
 
 
@@ -300,6 +358,10 @@ def tc_max_count_log(d: int, n: int, log_c: np.ndarray | None = None) -> float:
         raise ValueError(f"n must be >= 2, got {n}")
     if log_c is None:
         log_c = c_log_sequence(d, n - 1)
+    elif len(log_c) < n:
+        raise ValueError(
+            f"log_c has length {len(log_c)}, need at least {n} for n={n}"
+        )
     return math.lgamma(n + 1) + float(log_c[n - 1])
 
 

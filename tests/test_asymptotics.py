@@ -373,6 +373,11 @@ def test_sandwich_in_log_space():
             assert log_total <= log_max + 0.5 + 1e-9  # ln sqrt(e) = 0.5
 
 
+def test_theta_residual_window_rejects_short_log_c():
+    with pytest.raises(ValueError, match="need at least 50 "):
+        asym.theta_residual_window(2, 5, 50, log_c=words.c_log_sequence(2, 10))
+
+
 def test_airy_profile_of_e_row():
     # the ansatz correction is O(n^(-1/3)) with a coefficient growing in the
     # rescaled coordinate, so pointwise 5% agreement holds on the first 12

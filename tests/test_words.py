@@ -1,6 +1,9 @@
+import math
+import random
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, islice, permutations
 
+import numpy as np
 import pytest
 
 from treechild import exact, words
@@ -200,12 +203,87 @@ def test_b_table_entry_points_reject_small_d(call):
 
 
 def test_c_log_sequence_matches_exact():
-    import math
-
     for d in range(2, 7):
         log_c = words.c_log_sequence(d, 60)
         for n in (1, 2, 5, 17, 30, 60):
             assert log_c[n] == math.log(words.c_count(d, n))
+
+
+def exact_c_log_sequence(d, n_max):
+    """Reference: the exact big-integer b-table rows, with c_n read off
+    row n+1 as b(n+1, n+1) / C((d+1)(n+1) - 2, d-1)."""
+    out = np.full(n_max + 1, np.nan)
+    row = [0, 1]
+    for n in range(1, n_max + 1):
+        k = len(row)
+        row = list(accumulate(row))
+        row.append(row[-1])
+        for m in range(1, k + 1):
+            row[m] *= math.comb(d * k + m - 2, d - 1)
+        out[n] = math.log(row[-1] // math.comb((d + 1) * (n + 1) - 2, d - 1))
+    return out
+
+
+def test_c_log_sequence_equals_exact_route():
+    n_max = 400
+    for d in range(2, 7):
+        # the guard c_log_sequence derives cuts bits from row 100 on
+        *_, shift = next(islice(words._b_rows(d, 128 + n_max // 2), 99, None))
+        assert shift > 0, d
+        log_c = words.c_log_sequence(d, n_max)
+        assert log_c.tobytes() == exact_c_log_sequence(d, n_max).tobytes(), d
+        for n in (1, 2, 3, 17, 100, 250):
+            assert log_c[n] == math.log(words.c_count(d, n)), (d, n)
+
+
+def test_c_log_bracket_is_live(monkeypatch):
+    # 64 guard bits lose 53-bit agreement well before n = 400 at d = 2
+    assert words._c_log_bracket(2, 400, 64) is None
+    # a guard longer than every entry cuts nothing: the exact rows
+    lo, hi, shift = next(islice(words._b_rows(2, 10**5), 399, None))
+    assert lo is hi and shift == 0
+    # an uncertified pass is redone with the guard doubled
+    bracket, guards = words._c_log_bracket, []
+
+    def fail_first(d, n_max, guard):
+        guards.append(guard)
+        return None if len(guards) == 1 else bracket(d, n_max, guard)
+
+    monkeypatch.setattr(words, "_c_log_bracket", fail_first)
+    log_c = words.c_log_sequence(2, 400)
+    assert guards == [328, 656]
+    assert log_c.tobytes() == exact_c_log_sequence(2, 400).tobytes()
+
+
+def test_round53_matches_cpython():
+    rng = random.Random(53)
+    xs = [
+        rng.getrandbits(bits) | 1 << (bits - 1)
+        for bits in rng.choices(range(54, 1101), k=3000)
+    ]
+    # exact ties below and above 2**1024: an even kept bit stays, an odd
+    # one rounds up (all ones carry into the next power of two)
+    for kept in ((1 << 52) | 6, (1 << 52) | 7, (1 << 53) - 1):
+        for cut in (1, 2, 60, 900, 970, 1000, 1047):
+            xs.append(kept << cut | 1 << (cut - 1))
+    for x in xs:
+        r = words._round53(x)
+        if r < 2**1024:
+            assert r == int(float(x)), x
+        else:
+            # true division of ints is correctly rounded too
+            cut = x.bit_length() - 1000
+            assert r == int(x / (1 << cut)) << cut, x
+        assert math.log(r) == math.log(x), x
+    assert words._round53(12345) == 12345
+
+
+def test_tc_max_count_log_rejects_short_log_c():
+    log_c = words.c_log_sequence(2, 10)
+    assert words.tc_max_count_log(2, 11, log_c) == words.tc_max_count_log(2, 11)
+    for n in (12, 100):
+        with pytest.raises(ValueError, match=f"need at least {n} "):
+            words.tc_max_count_log(2, n, log_c=log_c)
 
 
 def test_word_to_str_formats():
