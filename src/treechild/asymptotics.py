@@ -38,16 +38,18 @@ _AI0 = Decimal("0.355028053887817239260063186004183176397979")
 _AIP0 = Decimal("0.258819403792806798405183560189203963479091")
 
 
-def _airy_series(x: float) -> float:
-    # float version of the Maclaurin pair, for the log branch where the
-    # exponential cancellation stays below ~1e-9 relative
-    c1 = float(_AI0)
-    c2 = float(_AIP0)
+def _maclaurin(x, c1, c2, rel, floor):
+    """c1 f(x) - c2 g(x) for the Maclaurin pair of Ai, in the arithmetic of x.
+
+    f = sum x^(3k) 1*4*...*(3k-2)/(3k)! and g = sum x^(3k+1) 2*5*...*(3k-1)
+    /(3k+1)!, each term the one before times x^3/den.  Terms are added while
+    |t| > rel*|f| + floor or |u| > rel*|g| + floor, at most 201 times.
+    """
     x3 = x * x * x
-    f = t = 1.0
+    f = t = x * 0 + 1  # one of x's type; Decimal(0) ** 0 raises
     g = u = x
     k = 0
-    while (abs(t) > 1e-19 * abs(f) + 1e-300 or abs(u) > 1e-19 * abs(g) + 1e-300):
+    while abs(t) > rel * abs(f) + floor or abs(u) > rel * abs(g) + floor:
         t *= x3 / ((3 * k + 2) * (3 * k + 3))
         u *= x3 / ((3 * k + 3) * (3 * k + 4))
         f += t
@@ -70,19 +72,8 @@ def airy_ai(x: float) -> float:
         raise ValueError(f"airy_ai series window is |x| <= {_AIRY_WINDOW}, got {x}")
     with localcontext() as ctx:
         ctx.prec = 40
-        xd = Decimal(x)
-        x3 = xd * xd * xd
-        f = t = Decimal(1)
-        g = u = xd
         tiny = Decimal("1e-42")
-        for k in range(200):
-            t = t * x3 / ((3 * k + 2) * (3 * k + 3))
-            u = u * x3 / ((3 * k + 3) * (3 * k + 4))
-            f += t
-            g += u
-            if abs(t) < tiny * (1 + abs(f)) and abs(u) < tiny * (1 + abs(g)):
-                break
-        return float(_AI0 * f - _AIP0 * g)
+        return float(_maclaurin(Decimal(x), _AI0, _AIP0, tiny, tiny))
 
 
 def _airy_ai_log(x: float) -> float:
@@ -93,7 +84,8 @@ def _airy_ai_log(x: float) -> float:
     ~e^(-2*zeta) and negligible at the crossover.
     """
     if x <= _SERIES_LOG_CUTOFF:
-        v = _airy_series(x)
+        # in floats: the exponential cancellation stays below ~1e-9 relative
+        v = _maclaurin(x, float(_AI0), float(_AIP0), 1e-19, 1e-300)
         if v <= 0.0:
             return -math.inf  # at (or numerically below) the largest root
         return math.log(v)
@@ -273,6 +265,7 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
 
 def theta_tc_max(d: int, n: int, a1: float | None = None) -> float:
     """ln of (n!)^d gamma^n e^(3 a1 beta n^(1/3)) n^alpha (constant omitted)."""
+    _check_params(d, n)
     return _log_theta(params(d), n, a1)
 
 
@@ -289,9 +282,7 @@ def _log_theta(p: AsymptoticParams, n: int, a1: float | None) -> float:
 
 def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
     """ln of the fixed-k first-order term for general tree-child counts."""
-    _check_params(d, n)
-    if k < 0 or k > n - 1:
-        raise ValueError(f"k={k} out of range for n={n}")
+    _check_params(d, n, k)
     return (
         ((4 - d) * k - 1) * _LOG2
         - k * math.lgamma(d + 1)

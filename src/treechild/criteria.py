@@ -66,7 +66,7 @@ def otc_formula(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
     for n in range(2, 40):
         for k in range(1, n):
             lhs = exact.otc_count(d, n, k) * k
-            rhs = (n * exact.binomial(2 * n + (d - 2) * k - 2, d)
+            rhs = (n * math.comb(2 * n + (d - 2) * k - 2, d)
                    * exact.otc_count(d, n - 1, k - 1))
             if lhs != rhs:
                 ok = False

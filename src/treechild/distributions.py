@@ -108,8 +108,7 @@ def otc_tail_expansion(d: int, n: int, k: int) -> float:
     """
     if d < 3:
         raise ValueError("tail expansion applies to d >= 3")
-    if k < 0 or k > n - 1:
-        raise ValueError(f"k={k} out of range")
+    _check_params(d, n, k)
     lg = math.lgamma
     coef = d * d * math.factorial(d) / (2.0 * d**d)
     return (

@@ -40,13 +40,6 @@ class CountTable:
         return sum(self.row(n))
 
 
-def factorial(m: int) -> int:
-    """m! for m >= 0."""
-    if m < 0:
-        raise ValueError(f"factorial of negative {m}")
-    return math.factorial(m)
-
-
 def double_factorial_odd(m: int) -> int:
     """m!! for odd m, with the conventions (-1)!! = 0!! = 1.
 
@@ -65,18 +58,14 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b), zero when b > a or b < 0."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def _check_params(d: int, n: int) -> None:
+def _check_params(d: int, n: int, k: int | None = None) -> None:
+    """The (d, n) domain, and 0 <= k <= n-1 when k is given."""
     if d < 2:
         raise ValueError(f"multiplicity d must be >= 2, got {d}")
     if n < 1:
         raise ValueError(f"leaf count n must be >= 1, got {n}")
+    if k is not None and not 0 <= k <= n - 1:
+        raise ValueError(f"k={k} out of range for n={n}")
 
 
 def otc_count(d: int, n: int, k: int) -> int:
@@ -89,8 +78,8 @@ def otc_count(d: int, n: int, k: int) -> int:
     _check_params(d, n)
     if k < 0 or k > n - 1:
         return 0
-    num = binomial(n, k) * factorial(2 * n + (d - 2) * k - 2)
-    den = factorial(d) ** k * 2 ** (n - k - 1) * factorial(n - k - 1)
+    num = math.comb(n, k) * math.factorial(2 * n + (d - 2) * k - 2)
+    den = math.factorial(d) ** k * 2 ** (n - k - 1) * math.factorial(n - k - 1)
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(
@@ -101,9 +90,7 @@ def otc_count(d: int, n: int, k: int) -> int:
 
 def otc_count_log(d: int, n: int, k: int) -> float:
     """ln of otc_count, via log-gamma; requires 0 <= k <= n-1."""
-    _check_params(d, n)
-    if k < 0 or k > n - 1:
-        raise ValueError(f"k={k} out of range for n={n}")
+    _check_params(d, n, k)
     lg = math.lgamma
     log_binom = lg(n + 1) - lg(k + 1) - lg(n - k + 1)
     return (
@@ -131,9 +118,7 @@ def otc_total_log(d: int, n: int) -> float:
 
 def node_counts(d: int, n: int, k: int) -> tuple[int, int]:
     """(tree nodes, total nodes) = (n+(d-1)k-1, 2n+dk) for valid (n, k)."""
-    _check_params(d, n)
-    if k < 0 or k > n - 1:
-        raise ValueError(f"k={k} out of range for n={n}")
+    _check_params(d, n, k)
     return n + (d - 1) * k - 1, 2 * n + d * k
 
 
@@ -144,10 +129,8 @@ def tc_upper_bound(d: int, n: int, k: int, tc_max: int) -> tuple[int, bool]:
     The flag matters because the bound is attained with equality at
     k = n-2 for d = 2, and tests need to distinguish that case.
     """
-    _check_params(d, n)
-    if k < 0 or k > n - 1:
-        raise ValueError(f"k={k} out of range for n={n}")
-    den = 2 ** (n - k - 1) * factorial(n - k - 1)
+    _check_params(d, n, k)
+    den = 2 ** (n - k - 1) * math.factorial(n - k - 1)
     q, r = divmod(tc_max, den)
     return q, r == 0
 

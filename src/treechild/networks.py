@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
+from .exact import _check_params
 from .words import BudgetExceeded
 
 ROOT = "root"
@@ -268,25 +269,13 @@ def candidate_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
 # to label-preserving isomorphism, and sorted tuples make them canonical.
 # For a one-component network every reticulation's coord is a bare leaf, so
 # the root coord alone is its canonical coordinate.
+#
+# The generator's trees are bare nodes, (0, label) | (1, a, b), with no
+# stacks and children in the order they were built; _attach adds the stacks
+# and sorts the children, and _network_to_coord sorts them as it builds them.
 # ---------------------------------------------------------------------------
 
 Coord = tuple
-
-
-def _canon_node(node):
-    if node[0] == 0:
-        return node
-    _, ea, eb = node
-    ea = (ea[0], _canon_node(ea[1]))
-    eb = (eb[0], _canon_node(eb[1]))
-    if eb < ea:
-        ea, eb = eb, ea
-    return (1, ea, eb)
-
-
-def _coord_canon(coord: Coord) -> Coord:
-    stack, node = coord
-    return (stack, _canon_node(node))
 
 
 def _coord_labels(coord: Coord) -> tuple[set[int], set[int]]:
@@ -307,60 +296,49 @@ def _coord_labels(coord: Coord) -> tuple[set[int], set[int]]:
     return leaves, rets
 
 
-def _tree_coords(labels: list[int]) -> list[Coord]:
-    """All phylogenetic trees on the given leaf labels as coords (empty stacks).
+def _trees(labels: list[int]):
+    """Every phylogenetic tree on the given leaf labels once, as a bare node.
 
-    Leaf-insertion generation: the j-th leaf subdivides any of the 2j-3
-    edges of a tree on the first j-1 leaves, producing every labeled tree
-    exactly once.
+    Leaf insertion: the last leaf hangs on any of the 2j-3 edges of a tree
+    on the first j-1 leaves, which gives every labeled tree exactly once.
     """
-    trees: list[Coord] = [((), (0, labels[0]))]
-    for j, label in enumerate(labels[1:], 2):
-        trees = [
-            _coord_canon(_subdivide_with_leaf(tr, pos, label))
-            for tr in trees
-            for pos in range(2 * j - 3)
-        ]
-    return trees
+    if len(labels) == 1:
+        yield (0, labels[0])
+        return
+    leaf = (0, labels[-1])
+    for tree in _trees(labels[:-1]):
+        yield from _hang(tree, leaf)
 
 
-def _subdivide_with_leaf(coord: Coord, pos: int, label: int):
-    """Replace base edge number pos (preorder) by a cherry with a new leaf."""
-
-    def walk(edge, base: int):
-        stack, node = edge
-        if base == pos:
-            return (stack, (1, ((), node), ((), (0, label)))), -1
-        base += 1
-        if node[0] == 1:
-            ea, base = walk(node[1], base)
-            if base == -1:
-                return (stack, (1, ea, node[2])), -1
-            eb, base = walk(node[2], base)
-            if base == -1:
-                return (stack, (1, node[1], eb)), -1
-        return edge, base
-
-    new_coord, marker = walk(coord, 0)
-    if marker != -1:
-        raise ValueError(f"edge position {pos} out of range")
-    return new_coord
+def _hang(node, leaf):
+    """node with leaf hung on each edge of its subtree, the edge above node first."""
+    yield (1, node, leaf)
+    if node[0] == 1:
+        _, a, b = node
+        for x in _hang(a, leaf):
+            yield (1, x, b)
+        for x in _hang(b, leaf):
+            yield (1, a, x)
 
 
-def _attach(trees: tuple[Coord, ...], stacks: list[tuple[int, ...]]) -> tuple:
-    """Coordinates of trees whose edges, in preorder, carry the given stacks."""
+def _attach(trees: tuple, stacks: list[tuple[int, ...]]) -> tuple:
+    """Coordinates of bare-node trees whose edges, in preorder, carry stacks.
+
+    The children of every branching node are sorted here, so the result is
+    canonical whatever order the trees were built in.
+    """
     it = iter(stacks)
 
     def walk(node):
         stack = next(it)
         if node[0] == 1:
-            ea, eb = walk(node[1][1]), walk(node[2][1])
+            ea, eb = walk(node[1]), walk(node[2])
             if eb < ea:
                 ea, eb = eb, ea
             node = (1, ea, eb)
         return (stack, node)
 
-    return tuple(walk(tree[1]) for tree in trees)
+    return tuple(walk(tree) for tree in trees)
 
 
 def _coord_to_network(coord, d: int) -> PhyloNetwork:
@@ -440,14 +418,11 @@ def _network_to_coord(net: PhyloNetwork, children: list[list[int]]) -> Coord:
             stack.append(ret_label[ret])
             v = next(c for c in children[v] if net.roles[c] != RET)
         if net.roles[v] == LEAF:
-            node = (0, labels[v])
-        else:
-            a, b = children[v]
-            node = (1, build_edge(a), build_edge(b))
-        return (tuple(stack), node)
+            return (tuple(stack), (0, labels[v]))
+        ea, eb = sorted(map(build_edge, children[v]))
+        return (tuple(stack), (1, ea, eb))
 
-    root_child = children[net.root][0]
-    return _coord_canon(build_edge(root_child))
+    return build_edge(children[net.root][0])
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +637,6 @@ def ret_insertion(net: PhyloNetwork, free_edge: tuple[int, int]) -> PhyloNetwork
     )
 
 
-def _check_params(d: int, n: int, k: int) -> None:
-    """The (d, n, k) domain shared by every network enumerator."""
-    if d < 2 or n < 1 or k < 0 or k > n - 1:
-        raise ValueError(f"bad parameters d={d}, n={n}, k={k}")
-
-
 # ---------------------------------------------------------------------------
 # Enumeration over component coordinates.
 # ---------------------------------------------------------------------------
@@ -707,10 +676,10 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
     built twice.  One-component networks are the restriction to singleton
     reticulation blocks with every stub in the root component.
 
-    trees holds the tree of each component, the root block first and then
-    the reticulations in name order; stacks holds the stack on every edge of
-    those trees in preorder, and _attach turns the pair into coordinates.
-    The budget counts insertions.
+    trees holds the tree of each component as a bare node from _trees, the
+    root block first and then the reticulations in name order; stacks holds
+    the stack on every edge of those trees in preorder, and _attach turns
+    the pair into sorted coordinates.  The budget counts insertions.
     """
     fn = "enumerate_otc" if one_component else "enumerate_tc"
     built = 0
@@ -754,7 +723,7 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
             components = [root_block] + rets
             owner = [j for j, b in enumerate(components) for _ in range(2 * len(b) - 1)]
             empty = [()] * len(owner)
-            for trees in product(*map(_tree_coords, components)):
+            for trees in product(*map(_trees, components)):
                 if k == 0:
                     yield trees, empty
                 else:

@@ -23,8 +23,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .exact import binomial, factorial
-
 
 class MalformedWordError(ValueError):
     """Letter multiset does not match the (d, n) contract."""
@@ -258,7 +256,7 @@ def b_table_rational(d: int, n_max: int) -> BTable:
             above = prev[m] if m < len(prev) else Fraction(0)
             row[m] = (
                 Fraction(d * n + m - 2, d * n + m - d - 1) * row[m - 1]
-                + binomial(d * n + m - 2, d - 1) * above
+                + math.comb(d * n + m - 2, d - 1) * above
             )
         rows.append(row)
     int_rows: list[list[int]] = [[]]
@@ -287,7 +285,7 @@ def tc_max_count(d: int, n: int) -> int:
     """Tree-child networks with n leaves and the maximal n-1 reticulations."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return factorial(n) * c_count(d, n - 1)
+    return math.factorial(n) * c_count(d, n - 1)
 
 
 def bnn_identity_check(d: int, n: int) -> bool:
@@ -295,7 +293,7 @@ def bnn_identity_check(d: int, n: int) -> bool:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     table = b_table_int(d, n)
-    return table.b(n, n) == binomial((d + 1) * n - 2, d - 1) * table.c(n - 1)
+    return table.b(n, n) == math.comb((d + 1) * n - 2, d - 1) * table.c(n - 1)
 
 
 def _round53(x: int) -> int:

@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,6 +29,57 @@ def test_airy_positive_right_of_root():
     assert asym.airy_ai(0.0) == pytest.approx(
         3 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-12
     )
+
+
+def reference_airy_series(x):
+    # the float Maclaurin loop of ln Ai's series branch, kept as written
+    # before both Ai routes shared one loop
+    c1 = float(asym._AI0)
+    c2 = float(asym._AIP0)
+    x3 = x * x * x
+    f = t = 1.0
+    g = u = x
+    k = 0
+    while (abs(t) > 1e-19 * abs(f) + 1e-300 or abs(u) > 1e-19 * abs(g) + 1e-300):
+        t *= x3 / ((3 * k + 2) * (3 * k + 3))
+        u *= x3 / ((3 * k + 3) * (3 * k + 4))
+        f += t
+        g += u
+        k += 1
+        if k > 200:
+            break
+    return c1 * f - c2 * g
+
+
+def reference_airy_ai(x):
+    # the 40-digit Decimal loop of airy_ai, kept as written before both Ai
+    # routes shared one loop
+    with localcontext() as ctx:
+        ctx.prec = 40
+        xd = Decimal(x)
+        x3 = xd * xd * xd
+        f = t = Decimal(1)
+        g = u = xd
+        tiny = Decimal("1e-42")
+        for k in range(200):
+            t = t * x3 / ((3 * k + 2) * (3 * k + 3))
+            u = u * x3 / ((3 * k + 3) * (3 * k + 4))
+            f += t
+            g += u
+            if abs(t) < tiny * (1 + abs(f)) and abs(u) < tiny * (1 + abs(g)):
+                break
+        return float(asym._AI0 * f - asym._AIP0 * g)
+
+
+def test_airy_loop_matches_reference_loops_bit_for_bit():
+    rng = random.Random(13)
+    for x in [rng.uniform(-8.0, 8.0) for _ in range(2000)]:
+        assert asym.airy_ai(x) == reference_airy_ai(x), x
+        if x <= asym._SERIES_LOG_CUTOFF:
+            v = reference_airy_series(x)
+            want = math.log(v) if v > 0.0 else -math.inf
+            assert asym._airy_ai_log(x) == want, x
+    assert asym.airy_root_a1() == -2.338107410459767
 
 
 def test_airy_root():
@@ -206,6 +259,8 @@ def test_asymptotic_terms_reject_bad_parameters(d, n, name):
         asym.fixed_k_asymptotic(d, n, 1)
     with pytest.raises(ValueError, match=name):
         asym.otc_total_asymptotic(d, n)
+    with pytest.raises(ValueError, match=name):
+        asym.theta_tc_max(d, n)
 
 
 @pytest.mark.parametrize("n,k", [(3, 7), (3, 3), (1, 1), (4, -1)])

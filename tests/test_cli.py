@@ -130,17 +130,24 @@ def test_exit_codes():
     assert cli.main(["count", "b", "--d", "2", "--n", "3"]) == 2
 
 
+BAD_NETWORK_PARAMS = {
+    ("1", "3", "1"): "multiplicity d",
+    ("2", "0", "0"): "leaf count n",
+    ("2", "3", "-1"): "out of range",
+    ("2", "3", "3"): "out of range",
+}
+
+
 @pytest.mark.parametrize("one_component", [False, True])
-@pytest.mark.parametrize(
-    "d,n,k", [("1", "3", "1"), ("2", "0", "0"), ("2", "3", "-1"), ("2", "3", "3")]
-)
+@pytest.mark.parametrize("d,n,k", list(BAD_NETWORK_PARAMS))
 def test_enumerate_networks_bad_parameters(capsys, one_component, d, n, k):
     argv = ["enumerate", "networks", "--d", d, "--n", n, "--k", k,
             "--format", "count"] + (["--one-component"] if one_component else [])
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "bad parameters" in captured.err
+    assert captured.err.count("\n") == 1
+    assert BAD_NETWORK_PARAMS[d, n, k] in captured.err
 
 
 BUDGET_CASES = [(oc, fmt) for fmt in ("count", "json", "dot") for oc in (False, True)]

@@ -88,6 +88,9 @@ def test_otc_tail_expansion():
     )
     with pytest.raises(ValueError):
         dist.otc_tail_expansion(2, 100, 0)
+    # n = 0 used to be reported as k=0 out of range
+    with pytest.raises(ValueError, match="leaf count n"):
+        dist.otc_tail_expansion(3, 0, 0)
 
 
 def test_normal_limit_small():

@@ -5,14 +5,6 @@ import pytest
 from treechild import criteria, exact
 
 
-def test_factorial_basics():
-    assert exact.factorial(0) == 1
-    assert exact.factorial(5) == 120
-    assert exact.factorial(8) == 40320
-    with pytest.raises(ValueError):
-        exact.factorial(-1)
-
-
 def test_double_factorial_odd():
     assert exact.double_factorial_odd(-1) == 1
     assert exact.double_factorial_odd(0) == 1
@@ -24,13 +16,6 @@ def test_double_factorial_odd():
         assert exact.appendix_table(d)[(4, 0)] == 15 or 4 not in exact.appendix_table(d).n_values
     with pytest.raises(ValueError):
         exact.double_factorial_odd(4)
-
-
-def test_binomial():
-    assert exact.binomial(4, 1) == 4
-    assert exact.binomial(5, 2) == 10
-    assert exact.binomial(3, 5) == 0
-    assert exact.binomial(3, -1) == 0
 
 
 @pytest.mark.parametrize(
@@ -71,7 +56,7 @@ def test_otc_step_recurrence_identity():
                 lhs = exact.otc_count(d, n, k) * k
                 rhs = (
                     n
-                    * exact.binomial(2 * n + (d - 2) * k - 2, d)
+                    * math.comb(2 * n + (d - 2) * k - 2, d)
                     * exact.otc_count(d, n - 1, k - 1)
                 )
                 assert lhs == rhs

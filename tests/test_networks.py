@@ -260,6 +260,30 @@ def test_otc_generator_builds_each_network_once():
                 assert len(set(got)) == len(got), (d, n, k)
 
 
+def tree_leaves(node):
+    """Leaf labels of a bare-node tree, in the order the tree lists them."""
+    return [node[1]] if node[0] == 0 else tree_leaves(node[1]) + tree_leaves(node[2])
+
+
+def tree_canon(node):
+    """A bare-node tree with every node's two children sorted."""
+    if node[0] == 0:
+        return node
+    return (1, *sorted((tree_canon(node[1]), tree_canon(node[2]))))
+
+
+def test_tree_generator_gives_each_tree_once():
+    # (2b-3)!! phylogenetic trees on b labeled leaves, none of them twice up
+    # to the order of children, each on exactly its labels
+    for b in range(1, 8):
+        labels = list(range(3, 3 + 2 * b, 2))
+        trees = list(nw._trees(labels))
+        assert len(trees) == exact.double_factorial_odd(2 * b - 3), b
+        assert len({tree_canon(t) for t in trees}) == len(trees), b
+        for tree in trees:
+            assert sorted(tree_leaves(tree)) == labels
+
+
 def audit_key(net):
     """Sorted multiset of (role, path-count vector): the mu-representation of
     Cardona, Rossello and Valiente, independent of the coordinates."""
@@ -288,10 +312,11 @@ def test_tc_generator_builds_each_network_once(d, n, k):
 
 
 def strip(edge, keep):
-    """The edge with only the reticulation labels in keep left on it."""
+    """The edge with only the reticulation labels in keep left on it, with
+    the children of each node sorted again."""
     stack, node = edge
     if node[0] == 1:
-        node = (1, strip(node[1], keep), strip(node[2], keep))
+        node = (1, *sorted((strip(node[1], keep), strip(node[2], keep))))
     return (tuple(x for x in stack if x in keep), node)
 
 
@@ -303,7 +328,7 @@ def partial_networks(coords_list):
         names = [min(nw._coord_labels(edge)[0]) for edge in coord[1:]]
         for j in range(1, len(names) + 1):
             keep = set(names[:j])
-            seen.add((j,) + tuple(nw._coord_canon(strip(e, keep)) for e in coord))
+            seen.add((j,) + tuple(strip(e, keep) for e in coord))
     return len(seen)
 
 
@@ -352,16 +377,21 @@ def test_count_tc_matches_fixtures_beyond_criterion_2(d, n, k):
     assert nw.count_tc_networks(d, n, k) == exact.appendix_table(d)[(n, k)]
 
 
-BAD_PARAMS = [(1, 3, 1), (2, 0, 0), (2, 3, -1), (2, 3, 3)]
+BAD_PARAMS = {
+    (1, 3, 1): "multiplicity d",
+    (2, 0, 0): "leaf count n",
+    (2, 3, -1): "out of range",
+    (2, 3, 3): "out of range",
+}
 
 
-@pytest.mark.parametrize("d,n,k", BAD_PARAMS)
+@pytest.mark.parametrize("d,n,k", list(BAD_PARAMS))
 @pytest.mark.parametrize(
     "fn",
     [nw.enumerate_tc, nw.count_tc_networks, nw.enumerate_otc, nw.count_otc_networks],
 )
 def test_network_enumerators_reject_bad_parameters(fn, d, n, k):
-    with pytest.raises(ValueError, match="bad parameters"):
+    with pytest.raises(ValueError, match=BAD_PARAMS[d, n, k]):
         fn(d, n, k)
 
 
