@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
@@ -36,6 +38,22 @@ _SERIES_LOG_CUTOFF = 6.0
 # standard values Ai(0) = 3^(-2/3)/Gamma(2/3) and -Ai'(0) = 3^(-1/3)/Gamma(1/3)
 _AI0 = Decimal("0.355028053887817239260063186004183176397979")
 _AIP0 = Decimal("0.258819403792806798405183560189203963479091")
+
+_LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
+
+
+def _asymptotic_terms() -> tuple[float, ...]:
+    """The 61 coefficients u_k of ln Ai's asymptotic series, each the one
+    before times (6k-5)(6k-1)/(72k), in the order the series uses them."""
+    terms = []
+    term = 1.0
+    for k in range(61):
+        term *= (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
+        terms.append(term)
+    return tuple(terms)
+
+
+_ASYMPTOTIC_TERMS = _asymptotic_terms()
 
 
 def _maclaurin(x, c1, c2, rel, floor):
@@ -91,20 +109,17 @@ def _airy_ai_log(x: float) -> float:
         return math.log(v)
     zeta = (2.0 / 3.0) * x ** 1.5
     s = 1.0
-    term = 1.0
     prev = math.inf
-    k = 0
-    while True:
-        term *= (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
-        k += 1
+    for k, term in enumerate(_ASYMPTOTIC_TERMS, 1):
         contrib = term / zeta**k
         if contrib >= prev or contrib < 1e-18:
             break
-        s += (-1) ** k * contrib
+        if k % 2:
+            s -= contrib
+        else:
+            s += contrib
         prev = contrib
-        if k > 60:
-            break
-    return -zeta - 0.25 * math.log(x) - math.log(2.0 * math.sqrt(math.pi)) + math.log(s)
+    return -zeta - 0.25 * math.log(x) - _LOG_2SQRTPI + math.log(s)
 
 
 def airy_root_a1() -> float:
@@ -509,6 +524,29 @@ def default_prop_n_values() -> list[int]:
     return list(range(200, 1001, 50)) + list(range(1250, 5001, 250))
 
 
+@functools.lru_cache(maxsize=2)
+def _airy_rows(
+    d: int, n_values: tuple[int, ...], m_exponent: float
+) -> tuple[tuple[array, array], ...]:
+    """Per n, ln Ai at row n for m = 0..m_cap-1 and at row n-1 for
+    m = -1..m_cap, where m_cap = int(n^m_exponent).
+
+    The rows depend on (d, n, m) only, not on the prefactor coefficient, so
+    a sweep over several coefficients at one d evaluates them once; two
+    entries hold the sub- and the super-solution tables of the latest d.
+    """
+    p = params(d)
+    rows = []
+    for n in n_values:
+        m_cap = int(n**m_exponent)
+        here = array("d", (_airy_ai_log(_airy_arg(p, n, m)) for m in range(m_cap)))
+        prev = array(
+            "d", (_airy_ai_log(_airy_arg(p, n - 1, m)) for m in range(-1, m_cap + 1))
+        )
+        rows.append((here, prev))
+    return tuple(rows)
+
+
 def _prop_sweep(
     d: int,
     n_values: list[int],
@@ -530,15 +568,12 @@ def _prop_sweep(
 
     violations: list[tuple[int, int, float, float]] = []
     samples = 0
-    for n in n_values:
+    rows = _airy_rows(d, tuple(n_values), m_exponent)
+    for n, (here, prev) in zip(n_values, rows):
         s_n = _s_factor(p, n, 1.0 if super_side else -1.0)
-        m_cap = int(n**m_exponent)
-        # row n-1 at m-1 and m+1 are entries m and m+2 of prev: each Airy
-        # argument is evaluated once, not once per sample that uses it
-        prev = [_airy_ai_log(_airy_arg(p, n - 1, m)) for m in range(-1, m_cap + 1)]
-        for m in range(0, m_cap):
-            samples += 1
-            la0 = _airy_ai_log(_airy_arg(p, n, m))
+        samples += len(here)
+        # row n-1 at m-1 and m+1 are entries m and m+2 of prev
+        for m, la0 in enumerate(here):
             la_up = prev[m + 2]
             la_dn = prev[m]  # m=0 hits ln Ai(a1) = -inf: term 0
             top = max(la0, la_up, la_dn)
@@ -564,6 +599,29 @@ def _prop_sweep(
     )
 
 
+def _sweep_n_values(n_values: list[int] | None) -> list[int]:
+    """The sampled rows as Python ints, the default list when None.
+
+    Each n must be at least 3: mu has its pole at n = 2, m = 0, and row
+    n - 1 = 0 has no Airy argument.  Python ints also keep n^(1/3) and the
+    memo key of _airy_rows the same for equal n of any integer type.
+    """
+    if n_values is None:
+        return default_prop_n_values()
+    checked = []
+    for n in n_values:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"n_values entries must be integers, got {n!r}") from None
+        if n < 3:
+            raise ValueError(f"n_values entries must be >= 3, got {n}")
+        checked.append(n)
+    if not checked:
+        raise ValueError("n_values must not be empty")
+    return checked
+
+
 def check_subsolution(
     d: int,
     n_values: list[int] | None = None,
@@ -571,8 +629,11 @@ def check_subsolution(
     q_coeff: int | None = None,
 ) -> PropReport:
     """Sweep the sub-solution inequality over sampled n and 0 <= m < n^(2/3-eps)."""
-    if n_values is None:
-        n_values = default_prop_n_values()
+    if not 0.0 < eps < 2.0 / 3.0:
+        raise ValueError(
+            f"eps must be in (0, 2/3) for the sub-solution sweep, got {eps}"
+        )
+    n_values = _sweep_n_values(n_values)
     if q_coeff is None:
         q_coeff = default_q_coeff(d)
     return _prop_sweep(
@@ -589,8 +650,11 @@ def check_supersolution(
     q_coeff: int | None = None,
 ) -> PropReport:
     """Sweep the super-solution inequality over sampled n and 0 <= m < n^(1-eps)."""
-    if n_values is None:
-        n_values = default_prop_n_values()
+    if not 0.0 < eps < 1.0:
+        raise ValueError(
+            f"eps must be in (0, 1) for the super-solution sweep, got {eps}"
+        )
+    n_values = _sweep_n_values(n_values)
     if q_coeff is None:
         q_coeff = default_q_coeff(d)
     if eta is None:

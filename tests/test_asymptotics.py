@@ -82,6 +82,57 @@ def test_airy_loop_matches_reference_loops_bit_for_bit():
     assert asym.airy_root_a1() == -2.338107410459767
 
 
+def reference_airy_asymptotic(x):
+    # ln Ai's asymptotic branch (x > 6), kept as written before its
+    # coefficients moved to a module-level table
+    zeta = (2.0 / 3.0) * x ** 1.5
+    s = 1.0
+    term = 1.0
+    prev = math.inf
+    k = 0
+    while True:
+        term *= (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
+        k += 1
+        contrib = term / zeta**k
+        if contrib >= prev or contrib < 1e-18:
+            break
+        s += (-1) ** k * contrib
+        prev = contrib
+        if k > 60:
+            break
+    return -zeta - 0.25 * math.log(x) - math.log(2.0 * math.sqrt(math.pi)) + math.log(s)
+
+
+def reference_airy_ai_log(x):
+    if x > asym._SERIES_LOG_CUTOFF:
+        return reference_airy_asymptotic(x)
+    v = reference_airy_series(x)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def test_airy_asymptotic_branch_matches_reference_loop_bit_for_bit():
+    rng = random.Random(17)
+    for x in [rng.uniform(6.0, 1e4) for _ in range(20000)]:
+        if x > asym._SERIES_LOG_CUTOFF:
+            assert asym._airy_ai_log(x) == reference_airy_asymptotic(x), x
+    # every Airy argument of the n = 5000 row of the default d = 3
+    # super-solution sweep, through the memoised rows the sweeps read
+    p = asym.params(3)
+    n = 5000
+    m_cap = int(n**0.9)
+    (here, prev), = asym._airy_rows(3, (n,), 0.9)
+    assert list(here) == [
+        reference_airy_ai_log(asym._airy_arg(p, n, m)) for m in range(m_cap)
+    ]
+    assert list(prev) == [
+        reference_airy_ai_log(asym._airy_arg(p, n - 1, m))
+        for m in range(-1, m_cap + 1)
+    ]
+    # the row crosses from the series branch into the asymptotic one
+    assert asym._airy_arg(p, n, 0) < asym._SERIES_LOG_CUTOFF
+    assert asym._airy_arg(p, n, m_cap - 1) > asym._SERIES_LOG_CUTOFF
+
+
 def test_airy_root():
     ok, root = criteria.airy_root()
     assert ok, root
@@ -405,6 +456,72 @@ def test_prop_sweeps_match_three_call_reference(d, q):
     )
     assert sub.to_dict() == ref_sub.to_dict()
     assert sup.to_dict() == ref_sup.to_dict()
+
+
+def test_airy_rows_cache_key_and_reuse():
+    # each sweep must read the rows of its own (d, n_values, m_exponent),
+    # and a second coefficient at the same d must reuse them
+    ns = [200, 450]
+    asym._airy_rows.cache_clear()
+
+    def eta(d):
+        return (2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01
+
+    def sweep(side, d, eps, q):
+        if side == "super":
+            got = asym.check_supersolution(d, n_values=ns, eps=eps, q_coeff=q)
+            m_exp, e, sup = 1.0 - eps, eta(d), True
+        else:
+            got = asym.check_subsolution(d, n_values=ns, eps=eps, q_coeff=q)
+            m_exp, e, sup = 2.0 / 3.0 - eps, None, False
+        want = _prop_sweep_three_calls(d, ns, eps, q, e, m_exp, sup)
+        assert got.to_dict() == want.to_dict(), (side, d, eps, q)
+
+    sweep("super", 2, 0.1, 13)
+    sweep("sub", 2, 0.1, 13)
+    sweep("sub", 2, 0.2, 13)
+    sweep("super", 3, 0.1, asym.default_q_coeff(3))
+    sweep("sub", 2, 0.1, 13)
+    hits = asym._airy_rows.cache_info().hits
+    sweep("sub", 2, 0.1, 25)
+    assert asym._airy_rows.cache_info().hits == hits + 1
+    # the d = 3 super-solution rows are still held: a key without d reads them
+    sweep("super", 2, 0.1, 13)
+
+
+@pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
+def test_prop_sweeps_reject_non_integer_n(check):
+    with pytest.raises(ValueError, match="n_values entries must be integers"):
+        check(2, n_values=[200.5])
+    with pytest.raises(ValueError, match="n_values entries must be integers"):
+        check(2, n_values=[200.0])
+    # numpy integers are integers, swept as the equal Python int
+    assert check(2, n_values=[np.int64(200)]).to_dict() == check(
+        2, n_values=[200]
+    ).to_dict()
+
+
+@pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
+@pytest.mark.parametrize("n", [1, 2])
+def test_prop_sweeps_reject_n_below_3(check, n):
+    with pytest.raises(ValueError, match=f"n_values entries must be >= 3, got {n}"):
+        check(2, n_values=[200, n])
+
+
+@pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
+def test_prop_sweeps_reject_empty_n_values(check):
+    with pytest.raises(ValueError, match="n_values must not be empty"):
+        check(2, n_values=[])
+
+
+@pytest.mark.parametrize(
+    "check, eps",
+    [(asym.check_subsolution, e) for e in (0.0, -0.1, 2.0 / 3.0, 1.0, math.nan)]
+    + [(asym.check_supersolution, e) for e in (0.0, -0.1, 1.0, 1.5, math.nan)],
+)
+def test_prop_sweeps_reject_eps_outside_range(check, eps):
+    with pytest.raises(ValueError, match="eps must be in"):
+        check(2, n_values=[200], eps=eps)
 
 
 def test_prop_trivial_orderings():
