@@ -43,7 +43,7 @@ for d in (2, 3):
 print()
 print("The e-rows take the Airy shape in the bulk (d=2, row 4000):")
 seq = asym.e_sequence(2, 4000)
-dev = asym.airy_profile_deviation(seq, 4000, count=12)
+dev = asym.airy_profile_deviation(seq, 4000)
 print(f"  max relative deviation over the first 12 admissible m: {dev:.2%}")
 
 print()

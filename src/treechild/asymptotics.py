@@ -16,14 +16,14 @@ import functools
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .distributions import _i1_2
 from .exact import _check_params
-from .words import c_log_sequence, tc_max_count_log
+from .words import _check_d, c_log_sequence, tc_max_count_log
 
 _LOG2 = math.log(2.0)
 
@@ -159,8 +159,7 @@ class AsymptoticParams:
 
 
 def params(d: int) -> AsymptoticParams:
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_d(d)
     lam = (d + 1) ** (d - 1) / math.factorial(d - 1)
     return AsymptoticParams(
         d=d,
@@ -250,8 +249,11 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     on the subnormal tail runs tens of times slower, and the tests hold the
     stored entries bit-identical to a full-width run.
     """
-    if d < 2 or n_max < 3:
-        raise ValueError(f"need d >= 2 and n_max >= 3, got d={d}, n_max={n_max}")
+    _check_d(d)
+    if n_max < 3:
+        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    if keep_m < 0:
+        raise ValueError(f"keep_m must be >= 0, got {keep_m}")
     keep = min(keep_m, n_max)
     log_rows = np.full((n_max + 1, keep + 1), -np.inf)
     tiny = np.finfo(float).tiny
@@ -278,15 +280,13 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
 # Closed asymptotic expressions (logs, constants included where known).
 # ---------------------------------------------------------------------------
 
-def theta_tc_max(d: int, n: int, a1: float | None = None) -> float:
+def theta_tc_max(d: int, n: int) -> float:
     """ln of (n!)^d gamma^n e^(3 a1 beta n^(1/3)) n^alpha (constant omitted)."""
     _check_params(d, n)
-    return _log_theta(params(d), n, a1)
+    return _log_theta(params(d), n, _a1())
 
 
-def _log_theta(p: AsymptoticParams, n: int, a1: float | None) -> float:
-    if a1 is None:
-        a1 = p.a1
+def _log_theta(p: AsymptoticParams, n: int, a1: float) -> float:
     return (
         p.d * math.lgamma(n + 1)
         + n * math.log(p.gamma)
@@ -349,24 +349,18 @@ class FitResult:
     c0: float
     c1: float
     c2: float
-    target_c1: float | None = None
+    target_c1: float
 
     @property
-    def rel_err(self) -> float | None:
-        if self.target_c1 is None:
-            return None
+    def rel_err(self) -> float:
         return abs(self.c1 - self.target_c1) / abs(self.target_c1)
 
     def to_dict(self) -> dict:
-        payload = {"c0": self.c0, "c1": self.c1, "c2": self.c2}
-        if self.target_c1 is not None:
-            payload["target_c1"] = self.target_c1
-            payload["rel_err"] = self.rel_err
-        return payload
+        return {**asdict(self), "rel_err": self.rel_err}
 
 
 def stretched_fit(
-    ns: np.ndarray, log_values: np.ndarray, target_c1: float | None = None
+    ns: np.ndarray, log_values: np.ndarray, target_c1: float
 ) -> FitResult:
     """Least squares for ln v(n) = c0 + c1 n^(1/3) + c2 ln n.
 
@@ -391,12 +385,12 @@ def stretched_fit(
                      target_c1=target_c1)
 
 
-def fit_e_diagonal(d: int, j_max: int, keep_m: int = 4) -> FitResult:
+def fit_e_diagonal(d: int, j_max: int) -> FitResult:
     """Fit the growth of e_{2j,0} 4^(-j); target coefficient 3 a1 beta."""
     p = params(d)  # checks d before e_sequence sees the doubled row count
     if j_max < 50:
         raise ValueError(f"need j_max >= 50 diagonal points to fit, got {j_max}")
-    seq = e_sequence(d, 2 * j_max, keep_m=keep_m)
+    seq = e_sequence(d, 2 * j_max, keep_m=4)
     js, diag = seq.diagonal()
     series = diag - js * math.log(4.0)
     return stretched_fit(js, series, target_c1=3.0 * p.a1 * p.beta)
@@ -422,6 +416,8 @@ def theta_residual_window(
     if not 2 <= lo < hi:
         raise ValueError(f"bad window [{lo}, {hi}]")
     p = params(d)
+    if a1 is None:
+        a1 = p.a1
     if log_c is None:
         log_c = c_log_sequence(d, hi - 1)
     elif len(log_c) < hi:
@@ -623,10 +619,7 @@ def _sweep_n_values(n_values: list[int] | None) -> list[int]:
 
 
 def check_subsolution(
-    d: int,
-    n_values: list[int] | None = None,
-    eps: float = 0.1,
-    q_coeff: int | None = None,
+    d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
     """Sweep the sub-solution inequality over sampled n and 0 <= m < n^(2/3-eps)."""
     if not 0.0 < eps < 2.0 / 3.0:
@@ -634,8 +627,6 @@ def check_subsolution(
             f"eps must be in (0, 2/3) for the sub-solution sweep, got {eps}"
         )
     n_values = _sweep_n_values(n_values)
-    if q_coeff is None:
-        q_coeff = default_q_coeff(d)
     return _prop_sweep(
         d, n_values, eps, q_coeff, eta=None,
         m_exponent=2.0 / 3.0 - eps, super_side=False,
@@ -643,11 +634,7 @@ def check_subsolution(
 
 
 def check_supersolution(
-    d: int,
-    n_values: list[int] | None = None,
-    eps: float = 0.1,
-    eta: float | None = None,
-    q_coeff: int | None = None,
+    d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
     """Sweep the super-solution inequality over sampled n and 0 <= m < n^(1-eps)."""
     if not 0.0 < eps < 1.0:
@@ -655,12 +642,9 @@ def check_supersolution(
             f"eps must be in (0, 1) for the super-solution sweep, got {eps}"
         )
     n_values = _sweep_n_values(n_values)
-    if q_coeff is None:
-        q_coeff = default_q_coeff(d)
-    if eta is None:
-        eta = (2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01
     return _prop_sweep(
-        d, n_values, eps, q_coeff, eta=eta,
+        d, n_values, eps, q_coeff,
+        eta=(2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01,
         m_exponent=1.0 - eps, super_side=True,
     )
 
@@ -670,29 +654,29 @@ def check_supersolution(
 # ---------------------------------------------------------------------------
 
 def s_tilde(d: int, i: int) -> float:
+    if i < 1:
+        raise ValueError(f"i must be >= 1, got {i}")
     return _s_factor(params(d), i, -1.0)
 
 
-def lower_bound_product(d: int, n: int, start: int | None = None) -> float:
-    """ln of the product of s-tilde factors up to index 2n.
+def lower_bound_product(d: int, n: int) -> float:
+    """ln of the product of s-tilde factors from the first positive one up
+    to index 2n.
 
     The first couple of factors are negative (the bound only claims
-    large-n behavior); start defaults to the first positive factor, and a
-    non-positive factor after that raises.
+    large-n behavior).  Every later factor is positive: s-tilde(i) =
+    2 + a1 B^(2/3) i^(-2/3) - (3d^2-5d+4)/(3(d+1)i) - i^(-7/6) strictly
+    increases in i, as a1 < 0, B > 0 and 3d^2-5d+4 > 0 make each term
+    after the 2 a negative constant times a negative power of i.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     p = params(d)
-    if start is None:
-        start = 1
-        while _s_factor(p, start, -1.0) <= 0.0:
-            start += 1
     total = 0.0
-    for i in range(start, 2 * n + 1):
+    for i in range(1, 2 * n + 1):
         f = _s_factor(p, i, -1.0)
-        if f <= 0.0:
-            raise ArithmeticError(f"non-positive factor s_tilde({d}, {i}) = {f}")
-        total += math.log(f)
+        if f > 0.0:
+            total += math.log(f)
     return total
 
 
@@ -700,17 +684,17 @@ def lower_bound_product(d: int, n: int, start: int | None = None) -> float:
 # Airy-shape profile of an e-row.
 # ---------------------------------------------------------------------------
 
-def airy_profile_deviation(seq: ESequence, n: int, count: int = 30) -> float:
+def airy_profile_deviation(seq: ESequence, n: int) -> float:
     """Max relative deviation between a normalized e-row and the Airy shape.
 
     Compares e_{n,m}/e_{n,m0} with Ai(a1 + B^(1/3)(m+1)/n^(1/3)) normalized
-    the same way, over the first `count` admissible m.
+    the same way, over the first 12 admissible m.
     """
     p = params(seq.d)
     parity = n % 2
-    ms = [m for m in range(seq.keep_m + 1) if m % 2 == parity][:count]
-    if len(ms) < count:
-        raise ValueError(f"row does not hold {count} admissible entries")
+    ms = [m for m in range(seq.keep_m + 1) if m % 2 == parity][:12]
+    if len(ms) < 12:
+        raise ValueError("row does not hold 12 admissible entries")
     m0 = ms[0]
     base = seq.log_e(n, m0)
     ai_base = _airy_ai_log(_airy_arg(p, n, m0))

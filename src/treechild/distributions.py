@@ -168,8 +168,9 @@ def degenerate_check(d: int, n: int) -> float:
     return pmf.prob(n - 1)
 
 
-def poisson_pmf(j: int, rate: float = 0.5) -> float:
-    return math.exp(-rate + j * math.log(rate) - math.lgamma(j + 1))
+def poisson_pmf(j: int) -> float:
+    """P(Poisson(1/2) = j), the conjectured limit of the d = 2 deficiency."""
+    return math.exp(-0.5 + j * math.log(0.5) - math.lgamma(j + 1))
 
 
 def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:

@@ -236,7 +236,10 @@ def _rets_lead_to_leaves(net: PhyloNetwork, children: list[list[int]]) -> bool:
 
 def free_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
     """Out-edges of free tree nodes (tree nodes with no reticulation child)."""
-    children = _require_tree_child(net, "free_edges")
+    return _free_edges(net, _require_tree_child(net, "free_edges"))
+
+
+def _free_edges(net: PhyloNetwork, children: list[list[int]]) -> list[tuple[int, int]]:
     out = []
     for i, role in enumerate(net.roles):
         if role == TREE and all(net.roles[c] != RET for c in children[i]):
@@ -246,10 +249,16 @@ def free_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
 
 def candidate_edges(net: PhyloNetwork) -> list[tuple[int, int]]:
     """Edges incident to no reticulation node (insertion sites)."""
-    _require_valid(net)
+    return _candidate_edges(net, _require_valid(net))
+
+
+def _candidate_edges(
+    net: PhyloNetwork, children: list[list[int]]
+) -> list[tuple[int, int]]:
     return sorted(
         (u, v)
-        for u, v in net.edges
+        for u, kids in enumerate(children)
+        for v in kids
         if net.roles[u] != RET and net.roles[v] != RET
     )
 
@@ -548,11 +557,13 @@ def otc_insertion(
     parent stubs may stack in series on the same edge.  The new leaf takes
     `label`, and existing labels >= label shift up by one.
     """
-    if not is_one_component(net):
+    # is_one_component's checks and messages, on one pass of _validate
+    children = _require_tree_child(net, "is_one_component")
+    if not _rets_lead_to_leaves(net, children):
         raise ValueError("otc_insertion expects a one-component network")
     if len(positions) != net.d:
         raise ValueError(f"need exactly d={net.d} positions")
-    cand = set(candidate_edges(net))
+    cand = set(_candidate_edges(net, children))
     for e in positions:
         if tuple(e) not in cand:
             raise ValueError(f"{e} is not a candidate edge")
@@ -602,13 +613,12 @@ def ret_insertion(net: PhyloNetwork, free_edge: tuple[int, int]) -> PhyloNetwork
     in-edge.  (Node counts force d-1 chain nodes, not d: the total grows by
     exactly d when k increases by one.)  Leaves and labels are unchanged.
     """
-    if not is_tree_child(net):
-        raise ValueError("ret_insertion expects a tree-child network")
-    if tuple(free_edge) not in set(free_edges(net)):
+    children = _require_tree_child(net, "ret_insertion")
+    if tuple(free_edge) not in set(_free_edges(net, children)):
         raise ValueError(f"{free_edge} is not a free edge")
     u, v = free_edge
     root = net.root
-    root_child = net.children()[root][0]
+    root_child = children[root][0]
 
     roles = list(net.roles)
     edges = set(net.edges)
@@ -836,9 +846,9 @@ def from_json(data: bytes | str) -> PhyloNetwork:
 _DOT_SHAPE = {ROOT: "diamond", TREE: "circle", RET: "box", LEAF: "plaintext"}
 
 
-def to_dot(net: PhyloNetwork, name: str = "network") -> bytes:
+def to_dot(net: PhyloNetwork) -> bytes:
     """Deterministic DOT of any tree-child network, canonicalised first."""
-    return _dot_text(canonical_form(net), name).encode()
+    return _dot_text(canonical_form(net), "network").encode()
 
 
 def _dot_text(cf: PhyloNetwork, name: str) -> str:

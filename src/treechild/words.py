@@ -151,8 +151,9 @@ def enumerate_words(
 
     budget caps the number of letter placements tried.
     """
-    if d < 2 or n < 1:
-        raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    _check_d(d)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return _walk(d, [0] + [d + 1] * n, budget, f"enumerate_words(d={d}, n={n})")
 
 
@@ -163,9 +164,9 @@ def suffix_index(w: Word, d: int) -> int:
     (pattern n, n) resolves to the largest matching m; this convention
     makes the suffix partition reproduce the b-table.
     """
-    n = _check_multiset(w, d)
-    if not is_member(w, d):
+    if first_violation(w, d) is not None:
         raise ValueError("suffix_index is only defined on members")
+    n = len(w) // (d + 1)
     for m in range(n, 0, -1):
         pattern = (n,) + tuple(range(m, n)) + (n,)
         if w[-len(pattern):] == pattern:

@@ -194,6 +194,21 @@ def test_nu_positive_on_populated_rows(d):
         assert np.all(asym.nu(d, n, np.arange(0, n - 1)) > 0), n
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: asym.params(1), "multiplicity d must be >= 2, got 1"),
+        (lambda: asym.e_sequence(1, 10), "multiplicity d must be >= 2, got 1"),
+        (lambda: asym.e_sequence(2, 2), "n_max must be >= 3, got 2"),
+        # keep_m = -1 used to raise IndexError
+        (lambda: asym.e_sequence(2, 10, keep_m=-1), "keep_m must be >= 0, got -1"),
+    ],
+)
+def test_e_sequence_names_the_bad_parameter(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_e_sequence_boundary_and_parity():
     seq = asym.e_sequence(2, 12, keep_m=12)
     # e_{3,1} = nu(3,1) * e_{2,0}
@@ -341,7 +356,7 @@ def test_stretched_fit_self_test():
 
 def test_stretched_fit_needs_points():
     with pytest.raises(ValueError):
-        asym.stretched_fit(np.arange(10), np.zeros(10))
+        asym.stretched_fit(np.arange(10), np.zeros(10), target_c1=1.0)
 
 
 def test_fit_e_diagonal_small():
@@ -353,8 +368,10 @@ def test_lower_bound_product():
     # first factor is negative for d=2, all later ones positive
     assert asym.s_tilde(2, 1) < 0
     assert asym.s_tilde(2, 2) > 0
-    with pytest.raises(ArithmeticError):
-        asym.lower_bound_product(2, 50, start=1)
+    # i = 0 used to divide by zero and i = -1 to give a complex number
+    for i in (0, -1):
+        with pytest.raises(ValueError, match=f"i must be >= 1, got {i}"):
+            asym.s_tilde(2, i)
     values = [asym.lower_bound_product(2, n) for n in range(3, 120)]
     assert all(b > a for a, b in zip(values, values[1:]))
     # growth of ln(product) - 2n ln 2 carries the 3 a1 beta n^(1/3) term
@@ -492,12 +509,12 @@ def test_airy_rows_cache_key_and_reuse():
 @pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
 def test_prop_sweeps_reject_non_integer_n(check):
     with pytest.raises(ValueError, match="n_values entries must be integers"):
-        check(2, n_values=[200.5])
+        check(2, n_values=[200.5], q_coeff=13)
     with pytest.raises(ValueError, match="n_values entries must be integers"):
-        check(2, n_values=[200.0])
+        check(2, n_values=[200.0], q_coeff=13)
     # numpy integers are integers, swept as the equal Python int
-    assert check(2, n_values=[np.int64(200)]).to_dict() == check(
-        2, n_values=[200]
+    assert check(2, n_values=[np.int64(200)], q_coeff=13).to_dict() == check(
+        2, n_values=[200], q_coeff=13
     ).to_dict()
 
 
@@ -505,13 +522,13 @@ def test_prop_sweeps_reject_non_integer_n(check):
 @pytest.mark.parametrize("n", [1, 2])
 def test_prop_sweeps_reject_n_below_3(check, n):
     with pytest.raises(ValueError, match=f"n_values entries must be >= 3, got {n}"):
-        check(2, n_values=[200, n])
+        check(2, n_values=[200, n], q_coeff=13)
 
 
 @pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
 def test_prop_sweeps_reject_empty_n_values(check):
     with pytest.raises(ValueError, match="n_values must not be empty"):
-        check(2, n_values=[])
+        check(2, n_values=[], q_coeff=13)
 
 
 @pytest.mark.parametrize(
@@ -521,7 +538,7 @@ def test_prop_sweeps_reject_empty_n_values(check):
 )
 def test_prop_sweeps_reject_eps_outside_range(check, eps):
     with pytest.raises(ValueError, match="eps must be in"):
-        check(2, n_values=[200], eps=eps)
+        check(2, n_values=[200], eps=eps, q_coeff=13)
 
 
 def test_prop_trivial_orderings():
@@ -555,7 +572,7 @@ def test_airy_profile_of_e_row():
     # rescaled coordinate, so pointwise 5% agreement holds on the first 12
     # admissible m at n = 4000; over 30 entries the shapes still correlate
     seq = asym.e_sequence(2, 4000, keep_m=64)
-    assert asym.airy_profile_deviation(seq, 4000, count=12) < 0.05
+    assert asym.airy_profile_deviation(seq, 4000) < 0.05
     p = asym.params(2)
     ms = np.arange(0, 60, 2)
     log_e = np.array([seq.log_e(4000, int(m)) for m in ms])

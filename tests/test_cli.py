@@ -105,6 +105,35 @@ def test_dist_commands(capsys):
     assert rows[3]["predicted_tc"] == 2544
     code, out = run(capsys, "dist", "--d", "2", "--n", "6", "--format", "csv")
     assert code == 0 and out.startswith("k,log_prob")
+    code, out = run(capsys, "dist", "--d", "2", "--n", "50", "--limit", "normal")
+    assert code == 0
+    assert set(json.loads(out)["result"]) == {
+        "n", "d", "mean", "variance", "third_abs", "sup_cdf_distance",
+    }
+    code, out = run(capsys, "dist", "--d", "3", "--n", "5")
+    assert code == 0
+    assert json.loads(out)["result"]["log_probs"] == list(
+        map(float, dist.r_pmf(3, 5).log_probs)
+    )
+
+
+@pytest.mark.parametrize(
+    "limit, d, message",
+    [("bessel", "2", "--limit bessel requires --d 3\n"),
+     ("normal", "3", "--limit normal requires --d 2\n"),
+     ("degenerate", "3", "--limit degenerate requires --d >= 4\n")],
+)
+def test_dist_limit_rejects_wrong_d(capsys, limit, d, message):
+    assert cli.main(["dist", "--d", d, "--n", "20", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_verify_asym_suite_runs_theta_for_d2(capsys):
+    code, out = run(capsys, "verify", "--suite", "asym", "--d", "2")
+    assert code == 0
+    checks = [e["check"] for e in json.loads(out)["result"]["entries"]]
+    assert checks[:2] == ["airy_root", "theta_residual"]
 
 
 def test_asym_commands(capsys):

@@ -207,6 +207,29 @@ def test_ret_insertion_rejects_non_free_edge():
         nw.ret_insertion(net, root_edge)
 
 
+def test_insertions_validate_the_network_once(monkeypatch):
+    tree = nw.enumerate_otc(2, 3, 0)[0]
+    edge = nw.candidate_edges(tree)[0]
+    free = nw.free_edges(tree)[0]
+    bad = non_tree_child_net()
+    calls = []
+    validate = nw._validate
+    monkeypatch.setattr(nw, "_validate", lambda net: calls.append(net) or validate(net))
+    for insert, message in [
+        (lambda net: nw.otc_insertion(net, [edge, edge], 1),
+         "is_one_component expects a tree-child network"),
+        (lambda net: nw.ret_insertion(net, free),
+         "ret_insertion expects a tree-child network"),
+    ]:
+        calls.clear()
+        insert(tree)
+        assert calls == [tree]
+        calls.clear()
+        with pytest.raises(ValueError, match=message):
+            insert(bad)
+        assert calls == [bad]
+
+
 def test_canonical_key_invariance():
     net = nw.enumerate_otc(2, 3, 1)[0]
     rotated = list(range(1, net.num_nodes)) + [0]

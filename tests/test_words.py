@@ -89,6 +89,28 @@ def test_suffix_index_examples():
         words.suffix_index((2, 2, 1, 1, 1, 2), 2)
 
 
+def test_suffix_index_checks_the_multiset_once(monkeypatch):
+    calls = []
+    check = words._check_multiset
+    monkeypatch.setattr(
+        words, "_check_multiset", lambda w, d: calls.append(w) or check(w, d)
+    )
+    assert words.suffix_index((1, 1, 2, 2, 1, 2), 2) == 1
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="only defined on members"):
+        words.suffix_index((2, 2, 1, 1, 1, 2), 2)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "d, n, message",
+    [(1, 2, "multiplicity d must be >= 2, got 1"), (2, 0, "n must be >= 1, got 0")],
+)
+def test_enumerate_words_names_the_bad_parameter(d, n, message):
+    with pytest.raises(ValueError, match=message):
+        words.enumerate_words(d, n)
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_suffix_partition_matches_b_table(d, n):
     table = words.b_table_int(d, n)
