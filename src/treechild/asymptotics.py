@@ -22,8 +22,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .distributions import _i1_2
-from .exact import _check_params
-from .words import _check_d, c_log_sequence, tc_max_count_log
+from .exact import _check_d, _check_params
+from .words import c_log_sequence, tc_max_count_log
 
 _LOG2 = math.log(2.0)
 

@@ -12,6 +12,7 @@ provided for asymptotic work at large n.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -58,14 +59,32 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
-def _check_params(d: int, n: int, k: int | None = None) -> None:
-    """The (d, n) domain, and 0 <= k <= n-1 when k is given."""
+def _check_int(name: str, value) -> None:
+    """Refuse a size that is not an integer; numpy integers pass, bools do not."""
+    # int is tested first because the closed forms run this in their loops
+    # and the ABC isinstance is several times slower
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_d(d: int) -> None:
+    _check_int("multiplicity d", d)
     if d < 2:
         raise ValueError(f"multiplicity d must be >= 2, got {d}")
+
+
+def _check_params(d: int, n: int, k: int | None = None) -> None:
+    """The (d, n) domain, and 0 <= k <= n-1 when k is given."""
+    _check_d(d)
+    _check_int("leaf count n", n)
     if n < 1:
         raise ValueError(f"leaf count n must be >= 1, got {n}")
-    if k is not None and not 0 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range for n={n}")
+    if k is not None:
+        _check_int("reticulation count k", k)
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"k={k} out of range for n={n}")
 
 
 def otc_count(d: int, n: int, k: int) -> int:
@@ -76,6 +95,7 @@ def otc_count(d: int, n: int, k: int) -> int:
     remainder would indicate a transcription bug and raises.
     """
     _check_params(d, n)
+    _check_int("reticulation count k", k)
     if k < 0 or k > n - 1:
         return 0
     num = math.comb(n, k) * math.factorial(2 * n + (d - 2) * k - 2)

@@ -672,7 +672,10 @@ def _set_partitions(n: int, m: int):
     yield from place(1, [])
 
 
-def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False):
+def _tc_search(
+    d: int, n: int, k: int, budget: int, one_component: bool = False,
+    count_only: bool = False,
+):
     """Yield every tree-child network once, depth-first, as (trees, stacks).
 
     A network is its tree components: the leaf labels split into k+1
@@ -690,6 +693,13 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
     root block first and then the reticulations in name order; stacks holds
     the stack on every edge of those trees in preorder, and _attach turns
     the pair into sorted coordinates.  The budget counts insertions.
+
+    With count_only the last level builds nothing: it walks every multiset
+    of the last reticulation's stubs, charging the budget one insertion
+    each as the building search does, and then yields how many it walked,
+    once for the whole level (1 for each tree choice when k == 0).  The
+    sum of what it yields is the number of networks, still found one by
+    one and not from a formula.
     """
     fn = "enumerate_otc" if one_component else "enumerate_tc"
     built = 0
@@ -707,12 +717,16 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
             for g in range(len(stacks[a]) + 1)
         ]
         name = (names[i - 1],)
+        tally = count_only and i == k
+        first = built
         for comb in combinations_with_replacement(slots, d):
             built += 1
             if built > budget:
                 raise BudgetExceeded(
                     f"{fn}(d={d}, n={n}, k={k}) exceeded {budget} insertions"
                 )
+            if tally:
+                continue
             child = stacks[:]
             fed = 0
             for a, g in reversed(comb):
@@ -723,6 +737,8 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
             else:
                 grown = [r | reach[i] if r & fed else r for r in reach]
                 yield from grow(child, grown, i + 1)
+        if tally:
+            yield built - first
 
     for blocks in _set_partitions(n, k + 1):
         for r, root_block in enumerate(blocks):
@@ -735,7 +751,7 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
             empty = [()] * len(owner)
             for trees in product(*map(_trees, components)):
                 if k == 0:
-                    yield trees, empty
+                    yield 1 if count_only else (trees, empty)
                 else:
                     yield from grow(empty, [1 << j for j in range(k + 1)], 1)
 
@@ -743,9 +759,10 @@ def _tc_search(d: int, n: int, k: int, budget: int, one_component: bool = False)
 def count_otc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_otc|, counting coordinates as they are generated."""
+    """|enumerate_otc|, from the one-component search with its last level
+    counted and not built."""
     _check_params(d, n, k)
-    return sum(1 for _ in _tc_search(d, n, k, budget, True))
+    return sum(_tc_search(d, n, k, budget, True, count_only=True))
 
 
 def enumerate_otc(
@@ -802,9 +819,10 @@ def enumerate_tc(
 def count_tc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_tc|, counting coordinates as they are generated."""
+    """|enumerate_tc|, from the search with its last level counted and not
+    built."""
     _check_params(d, n, k)
-    return sum(1 for _ in _tc_search(d, n, k, budget))
+    return sum(_tc_search(d, n, k, budget, count_only=True))
 
 
 # ---------------------------------------------------------------------------

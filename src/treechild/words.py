@@ -23,6 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .exact import _check_d
+
 
 class MalformedWordError(ValueError):
     """Letter multiset does not match the (d, n) contract."""
@@ -42,11 +44,6 @@ def word_to_str(w: Word, n: int) -> str:
     if n <= 9:
         return "".join(str(x) for x in w)
     return ",".join(str(x) for x in w)
-
-
-def _check_d(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"multiplicity d must be >= 2, got {d}")
 
 
 def _check_multiset(w: Word, d: int) -> int:

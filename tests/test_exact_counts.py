@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from treechild import criteria, exact
@@ -37,6 +38,26 @@ def test_otc_count_out_of_range_is_zero():
     assert exact.otc_count(2, 3, 3) == 0
     assert exact.otc_count(2, 3, -1) == 0
     assert exact.otc_count(5, 1, 1) == 0
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+@pytest.mark.parametrize(
+    "slot,name",
+    [(0, "multiplicity d"), (1, "leaf count n"), (2, "reticulation count k")],
+)
+def test_sizes_must_be_integers(slot, name, bad):
+    # floats, bools and strings are refused by name, not computed with or
+    # refused by range or math.comb further in
+    args = [3, 4, 2]
+    args[slot] = bad
+    for fn in (exact.otc_count, exact.otc_count_log, exact.node_counts):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            fn(*args)
+
+
+def test_sizes_accept_numpy_integers():
+    assert exact.otc_count(np.int64(3), np.int32(4), np.int64(2)) == exact.otc_count(3, 4, 2)
+    assert exact.node_counts(np.int64(2), np.int64(5), np.int64(3)) == (7, 16)
 
 
 def test_otc_count_exact_division_up_to_60():

@@ -386,6 +386,58 @@ def test_tc_budget_counts_insertions():
                  insertions, exact.appendix_table(d)[(n, k)])
 
 
+# k = 1, where the first level is also the last, and d = 2; every cell
+# takes more than the 11 insertions that check_budget's budget of 10 needs
+SMALL_BUDGET_CELLS = [(2, 3, 1), (3, 3, 1), (2, 3, 2), (2, 4, 3)]
+
+
+@pytest.mark.parametrize("d,n,k", SMALL_BUDGET_CELLS)
+@pytest.mark.parametrize("one_component", [True, False])
+def test_budget_counts_insertions_on_small_cells(one_component, d, n, k):
+    if one_component:
+        counter, enumerator, want = (
+            nw.count_otc_networks, nw.enumerate_otc, exact.otc_count(d, n, k)
+        )
+    else:
+        counter, enumerator, want = (
+            nw.count_tc_networks, nw.enumerate_tc, exact.appendix_table(d)[(n, k)]
+        )
+    insertions = partial_networks(coords(d, n, k, one_component))
+    check_budget(counter, enumerator, d, n, k, insertions, want)
+
+
+def search_outcome(d, n, k, one_component, count_only, budget):
+    """What the search amounts to: its number of networks, or the message
+    of the BudgetExceeded it raised."""
+    search = nw._tc_search(d, n, k, budget, one_component, count_only=count_only)
+    try:
+        return sum(search) if count_only else sum(1 for _ in search)
+    except nw.BudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "d,n,k", [(2, 3, 0), (3, 1, 0), (2, 2, 1), (3, 3, 1), (2, 4, 3), (3, 3, 2)]
+)
+@pytest.mark.parametrize("one_component", [True, False])
+def test_counting_path_does_the_same_work(one_component, d, n, k):
+    # the counting search yields counts that add up to what the building
+    # search yields, and it runs out of budget at the same insertion with
+    # the same message
+    built = coords(d, n, k, one_component)
+    insertions = partial_networks(built)
+    fn = "enumerate_otc" if one_component else "enumerate_tc"
+    for budget in sorted({0, 1, insertions // 2, insertions - 1, insertions}):
+        if budget < 0:
+            continue
+        outcome = search_outcome(d, n, k, one_component, False, budget)
+        assert search_outcome(d, n, k, one_component, True, budget) == outcome
+        if budget < insertions:
+            assert outcome == f"{fn}(d={d}, n={n}, k={k}) exceeded {budget} insertions"
+        else:
+            assert outcome == len(built)
+
+
 BEYOND_OLD_ORACLES = (
     [(2, 5, k) for k in range(5)]
     + [(3, 5, k) for k in range(3)]

@@ -224,6 +224,14 @@ def test_b_table_entry_points_reject_small_d(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_multiplicity_must_be_an_integer(bad):
+    for call in (words.c_count, words.tc_max_count, words.c_log_sequence):
+        with pytest.raises(ValueError, match="^multiplicity d must be an integer, got "):
+            call(bad, 3)
+    assert words.c_count(np.int64(2), 3) == words.c_count(2, 3)
+
+
 def test_c_log_sequence_matches_exact():
     for d in range(2, 7):
         log_c = words.c_log_sequence(d, 60)
