@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .distributions import _i1_2
-from .exact import _check_d, _check_params
+from .exact import _check_d, _check_int, _check_params
 from .words import c_log_sequence, tc_max_count_log
 
 _LOG2 = math.log(2.0)
@@ -159,7 +159,7 @@ class AsymptoticParams:
 
 
 def params(d: int) -> AsymptoticParams:
-    _check_d(d)
+    d = _check_d(d)
     lam = (d + 1) ** (d - 1) / math.factorial(d - 1)
     return AsymptoticParams(
         d=d,
@@ -249,11 +249,9 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     on the subnormal tail runs tens of times slower, and the tests hold the
     stored entries bit-identical to a full-width run.
     """
-    _check_d(d)
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if keep_m < 0:
-        raise ValueError(f"keep_m must be >= 0, got {keep_m}")
+    d = _check_d(d)
+    n_max = _check_int("n_max", n_max, 3)
+    keep_m = _check_int("keep_m", keep_m, 0)
     keep = min(keep_m, n_max)
     log_rows = np.full((n_max + 1, keep + 1), -np.inf)
     tiny = np.finfo(float).tiny
@@ -282,7 +280,7 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
 
 def theta_tc_max(d: int, n: int) -> float:
     """ln of (n!)^d gamma^n e^(3 a1 beta n^(1/3)) n^alpha (constant omitted)."""
-    _check_params(d, n)
+    d, n = _check_params(d, n)
     return _log_theta(params(d), n, _a1())
 
 
@@ -297,7 +295,7 @@ def _log_theta(p: AsymptoticParams, n: int, a1: float) -> float:
 
 def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
     """ln of the fixed-k first-order term for general tree-child counts."""
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     return (
         ((4 - d) * k - 1) * _LOG2
         - k * math.lgamma(d + 1)
@@ -311,7 +309,7 @@ def fixed_k_asymptotic(d: int, n: int, k: int) -> float:
 
 def otc_total_asymptotic(d: int, n: int) -> float:
     """ln of the first-order asymptotics of the one-component total."""
-    _check_params(d, n)
+    d, n = _check_params(d, n)
     if d == 2:
         return (
             -math.log(4.0 * math.pi) - 0.5
@@ -388,8 +386,7 @@ def stretched_fit(
 def fit_e_diagonal(d: int, j_max: int) -> FitResult:
     """Fit the growth of e_{2j,0} 4^(-j); target coefficient 3 a1 beta."""
     p = params(d)  # checks d before e_sequence sees the doubled row count
-    if j_max < 50:
-        raise ValueError(f"need j_max >= 50 diagonal points to fit, got {j_max}")
+    j_max = _check_int("j_max", j_max, 50)  # diagonal points to fit
     seq = e_sequence(d, 2 * j_max, keep_m=4)
     js, diag = seq.diagonal()
     series = diag - js * math.log(4.0)
@@ -413,8 +410,11 @@ def theta_residual_window(
     dyadic differences |res(2n) - res(n)| for n = lo, 2lo, ... while 2n
     stays inside the window.
     """
+    d = _check_d(d)
+    lo = _check_int("lo", lo)
+    hi = _check_int("hi", hi)
     if not 2 <= lo < hi:
-        raise ValueError(f"bad window [{lo}, {hi}]")
+        raise ValueError(f"need 2 <= lo < hi, got lo={lo}, hi={hi}")
     p = params(d)
     if a1 is None:
         a1 = p.a1
@@ -495,11 +495,13 @@ class PropReport:
 
 def default_q_coeff(d: int) -> int:
     """Literal reading of the printed prefactor coefficient: 3d^2 + 1."""
+    d = _check_d(d)
     return 3 * d * d + 1
 
 
 def candidate_q_coeff(d: int) -> int:
     """Plausible intended form 3d^2 + d - 1 (same value 13 at d = 2)."""
+    d = _check_d(d)
     return 3 * d * d + d - 1
 
 
@@ -513,6 +515,7 @@ def resolved_q_coeff(d: int) -> int:
     other candidates are violated at m = 0 for every n, with deficit
     ~ (q - (3d^2+12d-11))/(6(d+1)) * 2/n).
     """
+    d = _check_d(d)
     return 3 * d * d + 12 * d - 11
 
 
@@ -622,6 +625,7 @@ def check_subsolution(
     d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
     """Sweep the sub-solution inequality over sampled n and 0 <= m < n^(2/3-eps)."""
+    d = _check_d(d)
     if not 0.0 < eps < 2.0 / 3.0:
         raise ValueError(
             f"eps must be in (0, 2/3) for the sub-solution sweep, got {eps}"
@@ -637,6 +641,7 @@ def check_supersolution(
     d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
     """Sweep the super-solution inequality over sampled n and 0 <= m < n^(1-eps)."""
+    d = _check_d(d)
     if not 0.0 < eps < 1.0:
         raise ValueError(
             f"eps must be in (0, 1) for the super-solution sweep, got {eps}"
@@ -654,8 +659,7 @@ def check_supersolution(
 # ---------------------------------------------------------------------------
 
 def s_tilde(d: int, i: int) -> float:
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
+    i = _check_int("i", i, 1)
     return _s_factor(params(d), i, -1.0)
 
 
@@ -669,8 +673,7 @@ def lower_bound_product(d: int, n: int) -> float:
     increases in i, as a1 < 0, B > 0 and 3d^2-5d+4 > 0 make each term
     after the 2 a negative constant times a negative power of i.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _check_int("n", n, 2)
     p = params(d)
     total = 0.0
     for i in range(1, 2 * n + 1):
@@ -690,6 +693,7 @@ def airy_profile_deviation(seq: ESequence, n: int) -> float:
     Compares e_{n,m}/e_{n,m0} with Ai(a1 + B^(1/3)(m+1)/n^(1/3)) normalized
     the same way, over the first 12 admissible m.
     """
+    n = _check_int("n", n, 2)
     p = params(seq.d)
     parity = n % 2
     ms = [m for m in range(seq.keep_m + 1) if m % 2 == parity][:12]

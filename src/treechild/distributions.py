@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CountTable, _check_params, otc_count_log
+from .exact import CountTable, _check_int, _check_params, otc_count_log
 from .words import DEFAULT_WORD_BUDGET, cnk_words_count
 
 
@@ -61,7 +61,7 @@ def _log_norm(logs: np.ndarray) -> np.ndarray:
 
 def r_pmf(d: int, n: int) -> Pmf:
     """P(R = k) proportional to the one-component count with k reticulations."""
-    _check_params(d, n)
+    d, n = _check_params(d, n)
     logs = np.array([otc_count_log(d, n, k) for k in range(n)])
     return Pmf(d=d, n=n, log_probs=_log_norm(logs))
 
@@ -91,8 +91,7 @@ def _i1_2() -> float:
 
 def bessel_pmf(k: int) -> float:
     """P(Bessel(1,2) = k) = 1 / (I_1(2) k! (k+1)!)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _check_int("k", k, 0)
     return math.exp(
         -math.log(_i1_2()) - math.lgamma(k + 1) - math.lgamma(k + 2)
     )
@@ -106,9 +105,8 @@ def otc_tail_expansion(d: int, n: int, k: int) -> float:
     up to a relative error O((1+k^2)/n).  At d = 3 the prefactor powers
     collapse to 1.
     """
-    if d < 3:
-        raise ValueError("tail expansion applies to d >= 3")
-    _check_params(d, n, k)
+    _check_int("multiplicity d", d, 3)  # where the expansion applies
+    d, n, k = _check_params(d, n, k)
     lg = math.lgamma
     coef = d * d * math.factorial(d) / (2.0 * d**d)
     return (
@@ -129,8 +127,7 @@ def normal_limit_check(n: int) -> tuple[MomentSummary, float]:
     The lattice CDF is compared with the normal CDF at lattice midpoints.
     At n = 1 the law is a point mass with no third moment, so n >= 2.
     """
-    if n < 2:
-        raise ValueError(f"leaf count n must be >= 2 for the normal limit, got {n}")
+    n = _check_int("leaf count n", n, 2)
     pmf = r_pmf(2, n)
     probs = np.exp(pmf.log_probs)
     ks = np.arange(n, dtype=float)
@@ -162,14 +159,14 @@ def bessel_limit_check(n: int) -> float:
 
 def degenerate_check(d: int, n: int) -> float:
     """P(R = n-1) for d >= 4 (tends to 1)."""
-    if d < 4:
-        raise ValueError("degenerate regime applies to d >= 4")
+    _check_int("multiplicity d", d, 4)  # the degenerate regime
     pmf = r_pmf(d, n)
     return pmf.prob(n - 1)
 
 
 def poisson_pmf(j: int) -> float:
     """P(Poisson(1/2) = j), the conjectured limit of the d = 2 deficiency."""
+    j = _check_int("j", j, 0)
     return math.exp(-0.5 + j * math.log(0.5) - math.lgamma(j + 1))
 
 
@@ -182,9 +179,8 @@ def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:
     if table.d != 2:
         raise ValueError("the Poisson conjecture concerns d = 2")
     rows_n = table.n_values
-    if n is None:
-        n = rows_n[-1]
-    elif n not in rows_n:
+    n = rows_n[-1] if n is None else _check_int("leaf count n", n)
+    if n not in rows_n:
         raise ValueError(f"the table has rows {rows_n[0]}..{rows_n[-1]}, got n={n}")
     row = table.row(n)
     total = sum(row)
@@ -213,8 +209,7 @@ def conjecture_words_report(
     """
     if table.d != 2:
         raise ValueError("the words conjecture concerns d = 2")
-    if n < 1:
-        raise ValueError(f"leaf count n must be >= 1, got {n}")
+    n = _check_int("leaf count n", n, 1)
     rows = []
     for k in range(n):
         v = cnk_words_count(n - 1, k, budget=budget)

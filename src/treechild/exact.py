@@ -47,10 +47,9 @@ def double_factorial_odd(m: int) -> int:
     Counts phylogenetic trees: there are (2n-3)!! trees on n leaves.
     Even m > 0 is rejected; this function only serves the odd case.
     """
+    m = _check_int("m", m, -1)
     if m in (-1, 0):
         return 1
-    if m < -1:
-        raise ValueError(f"double factorial of {m}")
     if m % 2 == 0:
         raise ValueError(f"double_factorial_odd expects odd m, got {m}")
     out = 1
@@ -59,32 +58,34 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
-def _check_int(name: str, value) -> None:
-    """Refuse a size that is not an integer; numpy integers pass, bools do not."""
+def _check_int(name: str, value, lo: int | None = None) -> int:
+    """value as a Python int, numpy integers converted; a bool, float or
+    string, or a value below lo when lo is given, is refused by name."""
     # int is tested first because the closed forms run this in their loops
     # and the ABC isinstance is several times slower
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
-def _check_d(d: int) -> None:
-    _check_int("multiplicity d", d)
-    if d < 2:
-        raise ValueError(f"multiplicity d must be >= 2, got {d}")
+def _check_d(d: int) -> int:
+    return _check_int("multiplicity d", d, 2)
 
 
-def _check_params(d: int, n: int, k: int | None = None) -> None:
-    """The (d, n) domain, and 0 <= k <= n-1 when k is given."""
-    _check_d(d)
-    _check_int("leaf count n", n)
-    if n < 1:
-        raise ValueError(f"leaf count n must be >= 1, got {n}")
-    if k is not None:
-        _check_int("reticulation count k", k)
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"k={k} out of range for n={n}")
+def _check_params(d: int, n: int, k: int | None = None) -> tuple[int, ...]:
+    """(d, n), or (d, n, k) with 0 <= k <= n-1 when k is given, as ints."""
+    d = _check_d(d)
+    n = _check_int("leaf count n", n, 1)
+    if k is None:
+        return d, n
+    k = _check_int("reticulation count k", k)
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k={k} out of range for n={n}")
+    return d, n, k
 
 
 def otc_count(d: int, n: int, k: int) -> int:
@@ -94,8 +95,8 @@ def otc_count(d: int, n: int, k: int) -> int:
     for 0 <= k <= n-1, and 0 otherwise.  The division is exact; a nonzero
     remainder would indicate a transcription bug and raises.
     """
-    _check_params(d, n)
-    _check_int("reticulation count k", k)
+    d, n = _check_params(d, n)
+    k = _check_int("reticulation count k", k)
     if k < 0 or k > n - 1:
         return 0
     num = math.comb(n, k) * math.factorial(2 * n + (d - 2) * k - 2)
@@ -110,7 +111,7 @@ def otc_count(d: int, n: int, k: int) -> int:
 
 def otc_count_log(d: int, n: int, k: int) -> float:
     """ln of otc_count, via log-gamma; requires 0 <= k <= n-1."""
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     lg = math.lgamma
     log_binom = lg(n + 1) - lg(k + 1) - lg(n - k + 1)
     return (
@@ -124,13 +125,13 @@ def otc_count_log(d: int, n: int, k: int) -> float:
 
 def otc_total(d: int, n: int) -> int:
     """Total number of one-component networks with n leaves (sum over k)."""
-    _check_params(d, n)
+    d, n = _check_params(d, n)
     return sum(otc_count(d, n, k) for k in range(n))
 
 
 def otc_total_log(d: int, n: int) -> float:
     """ln of otc_total, computed stably in log space."""
-    _check_params(d, n)
+    d, n = _check_params(d, n)
     logs = [otc_count_log(d, n, k) for k in range(n)]
     top = max(logs)
     return top + math.log(sum(math.exp(x - top) for x in logs))
@@ -138,7 +139,7 @@ def otc_total_log(d: int, n: int) -> float:
 
 def node_counts(d: int, n: int, k: int) -> tuple[int, int]:
     """(tree nodes, total nodes) = (n+(d-1)k-1, 2n+dk) for valid (n, k)."""
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     return n + (d - 1) * k - 1, 2 * n + d * k
 
 
@@ -149,7 +150,7 @@ def tc_upper_bound(d: int, n: int, k: int, tc_max: int) -> tuple[int, bool]:
     The flag matters because the bound is attained with equality at
     k = n-2 for d = 2, and tests need to distinguish that case.
     """
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     den = 2 ** (n - k - 1) * math.factorial(n - k - 1)
     q, r = divmod(tc_max, den)
     return q, r == 0
@@ -205,6 +206,7 @@ _TC_FIXTURES: dict[int, dict[int, tuple[int, ...]]] = {
 
 def appendix_table(d: int) -> CountTable:
     """Embedded reference table of tree-child counts for d in {2,...,6}."""
+    d = _check_d(d)
     if d not in _TC_FIXTURES:
         raise ValueError(f"no reference table for d={d}")
     entries = {

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
-from .exact import _check_params
+from .exact import _check_int, _check_params
 from .words import BudgetExceeded
 
 ROOT = "root"
@@ -701,6 +701,7 @@ def _tc_search(
     sum of what it yields is the number of networks, still found one by
     one and not from a formula.
     """
+    budget = _check_int("budget", budget, 0)
     fn = "enumerate_otc" if one_component else "enumerate_tc"
     built = 0
 
@@ -761,7 +762,7 @@ def count_otc_networks(
 ) -> int:
     """|enumerate_otc|, from the one-component search with its last level
     counted and not built."""
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     return sum(_tc_search(d, n, k, budget, True, count_only=True))
 
 
@@ -779,7 +780,7 @@ def enumerate_otc(
     sorted by root coordinate as a tuple, which is not the byte order of
     the ``oc|`` keys that spell those coordinates out.
     """
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     return _OneComponentNetworks(
         sorted(_attach(*s)[0] for s in _tc_search(d, n, k, budget, True)), d
     )
@@ -809,7 +810,7 @@ def enumerate_tc(
     canonicalised once; the result holds the canonical forms, so
     canonical_form(x) == x for every x returned, sorted by canonical key.
     """
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     coords = [_attach(*s) for s in _tc_search(d, n, k, budget)]
     nets = (_coord_to_network(c, d) for c in coords)
     keyed = (_canonical(net, net.children()) for net in nets)
@@ -821,7 +822,7 @@ def count_tc_networks(
 ) -> int:
     """|enumerate_tc|, from the search with its last level counted and not
     built."""
-    _check_params(d, n, k)
+    d, n, k = _check_params(d, n, k)
     return sum(_tc_search(d, n, k, budget, count_only=True))
 
 

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exact import _check_d
+from .exact import _check_d, _check_int
 
 
 class MalformedWordError(ValueError):
@@ -46,8 +46,8 @@ def word_to_str(w: Word, n: int) -> str:
     return ",".join(str(x) for x in w)
 
 
-def _check_multiset(w: Word, d: int) -> int:
-    _check_d(d)
+def _check_multiset(w: Word, d: int) -> tuple[int, int]:
+    d = _check_d(d)
     length = len(w)
     if length == 0 or length % (d + 1) != 0:
         raise MalformedWordError(
@@ -64,7 +64,7 @@ def _check_multiset(w: Word, d: int) -> int:
         raise MalformedWordError(
             f"letters {bad} do not occur exactly {d + 1} times"
         )
-    return n
+    return d, n
 
 
 def _violation(occ: list[int], x: int, d: int) -> tuple[int, int] | None:
@@ -91,7 +91,7 @@ def first_violation(w: Word, d: int) -> tuple[int, int, int] | None:
     more than d-2 times yet strictly fewer times than the larger letter j.
     Returns None for members.  Raises MalformedWordError on a bad multiset.
     """
-    n = _check_multiset(w, d)
+    d, n = _check_multiset(w, d)
     occ = [0] * (n + 1)
     for pos, x in enumerate(w, start=1):
         occ[x] += 1
@@ -114,6 +114,7 @@ def _walk(d: int, mult: list[int], budget: int, name: str) -> Iterator[Word]:
     touches exactly the valid prefixes.  budget caps the number of letter
     placements tried; name labels the BudgetExceeded message.
     """
+    budget = _check_int("budget", budget, 0)
     n = len(mult) - 1
     length = sum(mult)
     occ = [0] * (n + 1)
@@ -148,9 +149,8 @@ def enumerate_words(
 
     budget caps the number of letter placements tried.
     """
-    _check_d(d)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    d = _check_d(d)
+    n = _check_int("n", n, 1)
     return _walk(d, [0] + [d + 1] * n, budget, f"enumerate_words(d={d}, n={n})")
 
 
@@ -206,7 +206,6 @@ def _b_rows(
     guard bits, the row is cut back to guard bits after its products,
     lo rounded down and hi rounded up; lo is hi until the first cut.
     """
-    _check_d(d)
     lo = hi = [0, 1]  # b(1,1) = 1
     shift = 0
     while True:
@@ -230,8 +229,8 @@ def _b_rows(
 
 def b_table_int(d: int, n_max: int) -> BTable:
     """Integer-only dynamic program: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    d = _check_d(d)
+    n_max = _check_int("n_max", n_max, 1)
     rows = [[], *(row for row, _, _ in islice(_b_rows(d), n_max))]
     return BTable(d=d, n_max=n_max, rows=rows)
 
@@ -243,9 +242,8 @@ def b_table_rational(d: int, n_max: int) -> BTable:
     Every entry must come out integral; a fractional entry signals a
     transcription bug and raises ArithmeticError.
     """
-    _check_d(d)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    d = _check_d(d)
+    n_max = _check_int("n_max", n_max, 1)
     rows: list[list[Fraction]] = [[], [Fraction(0), Fraction(1)]]
     for n in range(2, n_max + 1):
         prev = rows[n - 1]
@@ -273,23 +271,21 @@ def b_table_rational(d: int, n_max: int) -> BTable:
 
 def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    d = _check_d(d)
+    n = _check_int("n", n, 1)
     row, _, _ = next(islice(_b_rows(d), n - 1, None))
     return sum(row)
 
 
 def tc_max_count(d: int, n: int) -> int:
     """Tree-child networks with n leaves and the maximal n-1 reticulations."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _check_int("n", n, 2)
     return math.factorial(n) * c_count(d, n - 1)
 
 
 def bnn_identity_check(d: int, n: int) -> bool:
     """Check b(n,n) = C((d+1)n - 2, d-1) * c_{n-1}."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _check_int("n", n, 2)
     table = b_table_int(d, n)
     return table.b(n, n) == math.comb((d + 1) * n - 2, d - 1) * table.c(n - 1)
 
@@ -340,8 +336,8 @@ def c_log_sequence(d: int, n_max: int) -> np.ndarray:
     ends, because a guard longer than every entry cuts nothing and leaves
     the exact rows.  Entry [0] of the result is NaN padding.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    d = _check_d(d)
+    n_max = _check_int("n_max", n_max, 1)
     guard = 128 + n_max // 2
     while (out := _c_log_bracket(d, n_max, guard)) is None:
         guard *= 2
@@ -350,8 +346,8 @@ def c_log_sequence(d: int, n_max: int) -> np.ndarray:
 
 def tc_max_count_log(d: int, n: int, log_c: np.ndarray | None = None) -> float:
     """ln tc_max_count(d, n); pass a c_log_sequence to amortize the DP."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    d = _check_d(d)
+    n = _check_int("n", n, 2)
     if log_c is None:
         log_c = c_log_sequence(d, n - 1)
     elif len(log_c) < n:
@@ -370,6 +366,8 @@ def cnk_words_count(n: int, k: int, budget: int = DEFAULT_WORD_BUDGET) -> int:
     violates dominance at the full word).  Report-only; nothing asserts on
     this.
     """
+    n = _check_int("n", n, 0)
+    k = _check_int("k", k)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     mult = [0] + [3] * k + [2] * (n - k)

@@ -159,6 +159,26 @@ def test_exit_codes():
     assert cli.main(["count", "b", "--d", "2", "--n", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "networks", "--d", "2", "--n", "3", "--k", "0"],
+        ["enumerate", "networks", "--d", "2", "--n", "3", "--k", "1"],
+        ["enumerate", "networks", "--d", "2", "--n", "3", "--k", "1",
+         "--one-component"],
+        ["enumerate", "words", "--d", "2", "--n", "2"],
+        ["dist", "--d", "2", "--n", "3", "--exploratory", "words"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    # refused before the search starts, whether or not the search would
+    # have spent any of it
+    assert cli.main(argv + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0, got -1\n"
+
+
 BAD_NETWORK_PARAMS = {
     ("1", "3", "1"): "multiplicity d",
     ("2", "0", "0"): "leaf count n",

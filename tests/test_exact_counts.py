@@ -58,6 +58,11 @@ def test_sizes_must_be_integers(slot, name, bad):
 def test_sizes_accept_numpy_integers():
     assert exact.otc_count(np.int64(3), np.int32(4), np.int64(2)) == exact.otc_count(3, 4, 2)
     assert exact.node_counts(np.int64(2), np.int64(5), np.int64(3)) == (7, 16)
+    # numpy sizes are turned into Python ints, so the count neither
+    # overflows int64 nor comes back as a numpy integer
+    count = exact.otc_count(np.int64(6), np.int64(12), np.int64(11))
+    assert count == exact.otc_count(6, 12, 11)
+    assert type(count) is int
 
 
 def test_otc_count_exact_division_up_to_60():
