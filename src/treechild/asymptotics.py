@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from array import array
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, localcontext
 
@@ -62,19 +61,27 @@ def _maclaurin(x, c1, c2, rel, floor):
     f = sum x^(3k) 1*4*...*(3k-2)/(3k)! and g = sum x^(3k+1) 2*5*...*(3k-1)
     /(3k+1)!, each term the one before times x^3/den.  Terms are added while
     |t| > rel*|f| + floor or |u| > rel*|g| + floor, at most 201 times.
+
+    x may be a float array: an entry whose terms are small enough gets
+    t = u = 0 from then on, so each later f + t leaves it bit-identical to
+    the scalar loop on that entry.
     """
     x3 = x * x * x
     f = t = x * 0 + 1  # one of x's type; Decimal(0) ** 0 raises
     g = u = x
-    k = 0
-    while abs(t) > rel * abs(f) + floor or abs(u) > rel * abs(g) + floor:
-        t *= x3 / ((3 * k + 2) * (3 * k + 3))
-        u *= x3 / ((3 * k + 3) * (3 * k + 4))
-        f += t
-        g += u
-        k += 1
-        if k > 200:
+    for k in range(201):
+        live = (abs(t) > rel * abs(f) + floor) | (abs(u) > rel * abs(g) + floor)
+        if isinstance(live, np.ndarray):
+            if not live.any():
+                break
+            t, u = t * live, u * live
+        elif not live:
             break
+        # not in place: on an array, t is f and u is x at first
+        t = t * (x3 / ((3 * k + 2) * (3 * k + 3)))
+        u = u * (x3 / ((3 * k + 3) * (3 * k + 4)))
+        f = f + t
+        g = g + u
     return c1 * f - c2 * g
 
 
@@ -120,6 +127,30 @@ def _airy_ai_log(x: float) -> float:
             s += contrib
         prev = contrib
     return -zeta - 0.25 * math.log(x) - _LOG_2SQRTPI + math.log(s)
+
+
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """fn on each entry of a, as Python floats.  The sweeps take exp and
+    log from math this way: numpy's own round differently from libm on
+    some inputs, and every swept value is pinned to the libm result."""
+    return np.fromiter(map(fn, a.tolist()), float, len(a))
+
+
+def _airy_ai_log_array(x: np.ndarray) -> np.ndarray:
+    """_airy_ai_log of each entry of x, bit for bit.
+
+    The series entries run through _maclaurin as one array; the asymptotic
+    ones, bound by pow rather than by the interpreter, stay scalar.
+    """
+    out = np.empty(len(x))
+    series = x <= _SERIES_LOG_CUTOFF
+    v = _maclaurin(x[series], float(_AI0), float(_AIP0), 1e-19, 1e-300)
+    positive = v > 0.0
+    v[positive] = _each(math.log, v[positive])
+    v[~positive] = -math.inf
+    out[series] = v
+    out[~series] = _each(_airy_ai_log, x[~series])
+    return out
 
 
 def airy_root_a1() -> float:
@@ -190,7 +221,7 @@ def _airy_arg(p: AsymptoticParams, n: int, m: int) -> float:
 
 
 def mu(d: int, n: int, m):
-    """Coefficient of e_{n-1,m+1}; m may be an int or an integer ndarray."""
+    """Coefficient of e_{n-1,m+1}; m may be an int or an array of integers."""
     try:
         return 1.0 + 2.0 * (d - 1) / ((d + 1) * n + (d - 1) * m - 2 * (d + 1))
     except ZeroDivisionError:
@@ -198,7 +229,7 @@ def mu(d: int, n: int, m):
 
 
 def nu(d: int, n: int, m):
-    """Coefficient of e_{n-1,m-1}; m may be an int or an integer ndarray."""
+    """Coefficient of e_{n-1,m-1}; m may be an int or an array of integers."""
     out = 1.0
     try:
         for i in range(2, d + 1):
@@ -227,6 +258,7 @@ class ESequence:
     log_rows: np.ndarray = field(repr=False)
 
     def log_e(self, n: int, m: int) -> float:
+        n, m = _check_int("n", n), _check_int("m", m)
         if not (2 <= n <= self.n_max and 0 <= m <= self.keep_m):
             raise ValueError(f"(n={n}, m={m}) outside stored range")
         return float(self.log_rows[n, m])
@@ -526,22 +558,23 @@ def default_prop_n_values() -> list[int]:
 @functools.lru_cache(maxsize=2)
 def _airy_rows(
     d: int, n_values: tuple[int, ...], m_exponent: float
-) -> tuple[tuple[array, array], ...]:
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per n, ln Ai at row n for m = 0..m_cap-1 and at row n-1 for
-    m = -1..m_cap, where m_cap = int(n^m_exponent).
+    m = -1..m_cap, where m_cap = int(n^m_exponent), as read-only arrays.
 
-    The rows depend on (d, n, m) only, not on the prefactor coefficient, so
-    a sweep over several coefficients at one d evaluates them once; two
-    entries hold the sub- and the super-solution tables of the latest d.
+    Each row is evaluated as one array (see _airy_ai_log_array), equal bit
+    for bit to _airy_ai_log(_airy_arg(p, n, m)) entry by entry.  The rows
+    depend on (d, n, m) only, not on the prefactor coefficient, so a sweep
+    over several coefficients at one d evaluates them once; two entries
+    hold the sub- and the super-solution tables of the latest d.
     """
     p = params(d)
     rows = []
     for n in n_values:
         m_cap = int(n**m_exponent)
-        here = array("d", (_airy_ai_log(_airy_arg(p, n, m)) for m in range(m_cap)))
-        prev = array(
-            "d", (_airy_ai_log(_airy_arg(p, n - 1, m)) for m in range(-1, m_cap + 1))
-        )
+        here = _airy_ai_log_array(_airy_arg(p, n, np.arange(m_cap)))
+        prev = _airy_ai_log_array(_airy_arg(p, n - 1, np.arange(-1, m_cap + 1)))
+        here.flags.writeable = prev.flags.writeable = False
         rows.append((here, prev))
     return tuple(rows)
 
@@ -555,37 +588,48 @@ def _prop_sweep(
     m_exponent: float,
     super_side: bool,
 ) -> PropReport:
+    """Sweep one inequality, each row n as arrays over m = 0..m_cap-1.
+
+    Per sample, with the three logs shifted by their maximum top:
+    lhs = X(n, m) s_n e^(la0 - top) and rhs = mu X(n-1, m+1) e^(la_up - top)
+    + nu X(n-1, m-1) e^(la_dn - top); the last term is dropped where
+    la_dn = -inf (the float series puts Ai at or below zero there), and a
+    sample is skipped where top = -inf.  The arrays take the operations of
+    one sample in the same order, m is held as integer-valued floats,
+    which are exact, and exp comes from math, so every lhs and rhs is the
+    IEEE value of the scalar evaluation.
+    """
     p = params(d)
     quad = (2 * d - 1) / (3.0 * (d + 1))
     lin = q_coeff / (6.0 * (d + 1))
 
-    def prefactor(n: int, m: int) -> float:
+    def prefactor(n: int, m: np.ndarray) -> np.ndarray:
         out = 1.0 - quad * m * m / n - lin * m / n
         if eta is not None:
-            out += eta * m**4 / n**2
+            m2 = m * m
+            out += eta * (m2 * m2) / n**2  # m^4 rounded once, as from an int
         return out
 
     violations: list[tuple[int, int, float, float]] = []
     samples = 0
     rows = _airy_rows(d, tuple(n_values), m_exponent)
-    for n, (here, prev) in zip(n_values, rows):
+    for n, (la0, prev) in zip(n_values, rows):
         s_n = _s_factor(p, n, 1.0 if super_side else -1.0)
-        samples += len(here)
+        samples += len(la0)
+        m = np.arange(len(la0), dtype=float)
         # row n-1 at m-1 and m+1 are entries m and m+2 of prev
-        for m, la0 in enumerate(here):
-            la_up = prev[m + 2]
-            la_dn = prev[m]  # m=0 hits ln Ai(a1) = -inf: term 0
-            top = max(la0, la_up, la_dn)
-            if top == -math.inf:
-                continue
-            lhs = prefactor(n, m) * s_n * math.exp(la0 - top)
-            rhs = mu(d, n, m) * prefactor(n - 1, m + 1) * math.exp(la_up - top)
-            if la_dn > -math.inf:
-                rhs += nu(d, n, m) * prefactor(n - 1, m - 1) * math.exp(la_dn - top)
-            slack = 1e-12 * max(abs(lhs), abs(rhs), 1.0)
-            bad = lhs < rhs - slack if super_side else lhs > rhs + slack
-            if bad:
-                violations.append((n, m, lhs, rhs))
+        la_up, la_dn = prev[2:], prev[:-2]
+        top = np.maximum(np.maximum(la0, la_up), la_dn)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where top = -inf
+            lhs = prefactor(n, m) * s_n * _each(math.exp, la0 - top)
+            rhs = mu(d, n, m) * prefactor(n - 1, m + 1) * _each(math.exp, la_up - top)
+            dn = nu(d, n, m) * prefactor(n - 1, m - 1) * _each(math.exp, la_dn - top)
+        rhs = np.where(la_dn > -math.inf, rhs + dn, rhs)
+        slack = 1e-12 * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+        bad = lhs < rhs - slack if super_side else lhs > rhs + slack
+        bad &= top > -math.inf
+        for i in np.flatnonzero(bad).tolist():
+            violations.append((n, i, float(lhs[i]), float(rhs[i])))
     return PropReport(
         d=d,
         check="supersolution" if super_side else "subsolution",
@@ -626,6 +670,7 @@ def check_subsolution(
 ) -> PropReport:
     """Sweep the sub-solution inequality over sampled n and 0 <= m < n^(2/3-eps)."""
     d = _check_d(d)
+    q_coeff = _check_int("q_coeff", q_coeff)
     if not 0.0 < eps < 2.0 / 3.0:
         raise ValueError(
             f"eps must be in (0, 2/3) for the sub-solution sweep, got {eps}"
@@ -642,6 +687,7 @@ def check_supersolution(
 ) -> PropReport:
     """Sweep the super-solution inequality over sampled n and 0 <= m < n^(1-eps)."""
     d = _check_d(d)
+    q_coeff = _check_int("q_coeff", q_coeff)
     if not 0.0 < eps < 1.0:
         raise ValueError(
             f"eps must be in (0, 1) for the super-solution sweep, got {eps}"

@@ -47,6 +47,9 @@ def tcmax_rows(d: int) -> tuple[bool, list[dict]]:
 
 def tc_oracle(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
     """Criterion 2: brute force gives every reference cell with 2 <= n <= n_max."""
+    d = exact._check_d(d)
+    n_max = exact._check_int("n_max", n_max, 2)
+    budget = exact._check_int("budget", budget, 0)
     table = exact.appendix_table(d)
     return _match("brute_force", "fixture", (
         ({"n": n, "k": k}, nw.count_tc_networks(d, n, k, budget=budget),
@@ -58,6 +61,9 @@ def tc_oracle(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
 def otc_formula(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
     """Criterion 3: the one-component generator matches the closed formula
     for n <= n_max, and the formula obeys its step recurrence for n < 40."""
+    d = exact._check_d(d)
+    n_max = exact._check_int("n_max", n_max, 1)
+    budget = exact._check_int("budget", budget, 0)
     ok, entries = _match("otc_oracle", "formula", (
         ({"n": n, "k": k}, nw.count_otc_networks(d, n, k, budget=budget),
          exact.otc_count(d, n, k))
@@ -79,6 +85,12 @@ def otc_formula(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
 def word_oracle(d: int, budget: int) -> tuple[bool, list[dict]]:
     """Criterion 4: words of length (d+1)n <= 14 are counted by c_n and
     split by suffix index as the b-table says."""
+    d = exact._check_d(d)
+    if d > 13:  # no word would be checked
+        raise ValueError(
+            f"multiplicity d must be <= 13 for words of length at most 14, got {d}"
+        )
+    budget = exact._check_int("budget", budget, 0)
     entries = []
     n = 1
     while n * (d + 1) <= 14:
@@ -214,15 +226,16 @@ def fixed_k_trend() -> tuple[bool, dict]:
     return ok, {"ratios_k1_k2": ratios}
 
 
-def proposition_sweeps(d: int, q: int) -> tuple[bool, dict]:
+def proposition_sweeps(d: int, q_coeff: int) -> tuple[bool, dict]:
     """Criterion 12: the sub- and super-solution sweeps with prefactor
-    coefficient q each reach a threshold above which nothing is violated."""
-    sub = asym.check_subsolution(d, q_coeff=q)
-    sup = asym.check_supersolution(d, q_coeff=q)
+    coefficient q_coeff each reach a threshold above which nothing is
+    violated."""
+    sub = asym.check_subsolution(d, q_coeff=q_coeff)
+    sup = asym.check_supersolution(d, q_coeff=q_coeff)
     ok = sub.n_threshold is not None and sup.n_threshold is not None
     return ok, {
-        "d": d,
-        "q_coeff": q,
+        "d": sub.d,
+        "q_coeff": sub.q_coeff,
         "subsolution": sub.to_dict(),
         "supersolution": sup.to_dict(),
     }

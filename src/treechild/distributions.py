@@ -33,6 +33,8 @@ class Pmf:
         return range(0, self.n)
 
     def prob(self, k: int) -> float:
+        """P(R = k), 0 outside the support."""
+        k = _check_int("k", k)
         if not 0 <= k <= self.n - 1:
             return 0.0
         return float(math.exp(self.log_probs[k]))

@@ -35,6 +35,7 @@ class CountTable:
 
     def row(self, n: int) -> list[int]:
         """Counts for k = 0 .. n-1."""
+        n = _check_int("leaf count n", n, 1)
         return [self.entries[(n, k)] for k in range(n)]
 
     def row_sum(self, n: int) -> int:

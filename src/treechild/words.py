@@ -180,12 +180,15 @@ class BTable:
     rows: list[list[int]]  # rows[n][m], row n has length n+1, index 0 unused
 
     def b(self, n: int, m: int) -> int:
+        """b(n, m), 0 outside the triangle."""
+        n, m = _check_int("n", n), _check_int("m", m)
         if n < 1 or m < 1 or m > n or n > self.n_max:
             return 0
         return self.rows[n][m]
 
     def c(self, n: int) -> int:
         """c_n = sum of b(n, m) over m."""
+        n = _check_int("n", n)
         if n < 1 or n > self.n_max:
             raise ValueError(f"n={n} outside table range 1..{self.n_max}")
         return sum(self.rows[n][1:])

@@ -1,16 +1,18 @@
 """Every public size parameter is checked at the API boundary, the same way.
 
-The public module-level functions of the five library modules are found by
-an ast walk over their sources, and each parameter named like a size (d, n,
-k, ...) must appear in CONTRACT or EXEMPT below, so a new public function
-that takes a size fails here until it is listed.  In every listed slot a
-float, a bool and a string are refused with a ValueError that names the
-parameter, a value one below the slot's lower bound is refused too, and a
-numpy integer gives the same result, of the same types, as the Python int.
+The public module-level functions of the library modules and the public
+methods of their public classes are found by an ast walk over their
+sources, and each parameter named like a size (d, n, k, ...) must appear in
+CONTRACT or EXEMPT below, so a new public function that takes a size fails
+here until it is listed.  In every listed slot a float, a bool and a string
+are refused with a ValueError that names the parameter, a value one below
+the slot's lower bound is refused too, and a numpy integer gives the same
+result, of the same types, as the Python int.
 """
 
 import ast
 import dataclasses
+import functools
 import math
 import re
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treechild import asymptotics, distributions, exact, networks, words
+from treechild import asymptotics, criteria, distributions, exact, networks, words
 
 MODULES = {
     "exact": exact,
@@ -26,9 +28,11 @@ MODULES = {
     "networks": networks,
     "asymptotics": asymptotics,
     "distributions": distributions,
+    "criteria": criteria,
 }
 SIZE_NAMES = {
     "d", "n", "k", "i", "j", "m", "n_max", "keep_m", "j_max", "lo", "hi", "budget",
+    "q_coeff",
 }
 
 
@@ -40,11 +44,21 @@ def _e_rows():
     return asymptotics.e_sequence(2, 60, keep_m=30)
 
 
+def _b_rows():
+    return words.b_table_int(2, 4)
+
+
+def _r_law():
+    return distributions.r_pmf(3, 5)
+
+
 # function -> (valid keyword arguments, {size slot: lower bound or None}).
-# A callable value is built afresh for each call.  None means the slot has
-# no lower bound of its own: otc_count's k returns 0 outside 0..n-1 by
-# design.  Bounds checked as a relation to another argument (k <= n - 1,
-# 2 <= lo < hi, a row of the table) are given for the base arguments.
+# A callable value is built afresh for each call; a method gets its
+# instance as the keyword self.  None means the slot has no lower bound of
+# its own: otc_count's k returns 0 outside 0..n-1 by design, as do
+# BTable.b and Pmf.prob outside their range.  Bounds checked as a relation
+# to another argument (k <= n - 1, 2 <= lo < hi, a row of the table) are
+# given for the base arguments.
 CONTRACT = {
     "exact.double_factorial_odd": ({"m": 5}, {"m": -1}),
     "exact.otc_count": ({"d": 3, "n": 4, "k": 2}, {"d": 2, "n": 1, "k": None}),
@@ -105,10 +119,10 @@ CONTRACT = {
     "asymptotics.candidate_q_coeff": ({"d": 3}, {"d": 2}),
     "asymptotics.resolved_q_coeff": ({"d": 3}, {"d": 2}),
     "asymptotics.check_subsolution": (
-        {"d": 2, "n_values": [200], "q_coeff": 25}, {"d": 2},
+        {"d": 2, "n_values": [200], "q_coeff": 25}, {"d": 2, "q_coeff": None},
     ),
     "asymptotics.check_supersolution": (
-        {"d": 2, "n_values": [200], "q_coeff": 25}, {"d": 2},
+        {"d": 2, "n_values": [200], "q_coeff": 25}, {"d": 2, "q_coeff": None},
     ),
     "asymptotics.s_tilde": ({"d": 2, "i": 3}, {"d": 2, "i": 1}),
     "asymptotics.lower_bound_product": ({"d": 2, "n": 5}, {"d": 2, "n": 2}),
@@ -126,28 +140,57 @@ CONTRACT = {
     "distributions.conjecture_words_report": (
         {"table": _table2, "n": 3, "budget": 10**6}, {"n": 1, "budget": 0},
     ),
+    "criteria.tcmax_rows": ({"d": 2}, {"d": 2}),
+    "criteria.tc_oracle": (
+        {"d": 2, "n_max": 3, "budget": 10**6}, {"d": 2, "n_max": 2, "budget": 0},
+    ),
+    "criteria.otc_formula": (
+        {"d": 2, "n_max": 3, "budget": 10**6}, {"d": 2, "n_max": 1, "budget": 0},
+    ),
+    "criteria.word_oracle": ({"d": 4, "budget": 10**6}, {"d": 2, "budget": 0}),
+    "criteria.dual_recurrence": ({"d": 2}, {"d": 2}),
+    "criteria.otc_total": ({"d": 3}, {"d": 2}),
+    "criteria.proposition_sweeps": ({"d": 2, "q_coeff": 25}, {"d": 2, "q_coeff": None}),
+    "exact.CountTable.row": ({"self": _table2, "n": 5}, {"n": 1}),
+    "exact.CountTable.row_sum": ({"self": _table2, "n": 5}, {"n": 1}),
+    "words.BTable.b": ({"self": _b_rows, "n": 3, "m": 2}, {"n": None, "m": None}),
+    "words.BTable.c": ({"self": _b_rows, "n": 3}, {"n": 1}),
+    "asymptotics.ESequence.log_e": ({"self": _e_rows, "n": 40, "m": 4}, {"n": 2, "m": 0}),
+    "distributions.Pmf.prob": ({"self": _r_law, "k": 2}, {"k": None}),
 }
 
 # function -> why its size parameters are not checked
 EXEMPT = {
     "words.word_to_str": "n only chooses the separator; it runs once per printed word",
-    "asymptotics.mu": "real or array arguments, evaluated once per sample in the sweeps",
-    "asymptotics.nu": "real or array arguments, evaluated once per sample in the sweeps",
+    "asymptotics.mu": "real or array arguments, evaluated once per row in the sweeps",
+    "asymptotics.nu": "real or array arguments, evaluated once per row in the sweeps",
+    "criteria.theta": (
+        "d is refused by words.c_log_sequence before any work, but one call takes"
+        " seconds: criterion 10's test runs it"
+    ),
 }
 
 
+def _public_functions(body, prefix):
+    """(dotted name, def) of each public function and public method."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{prefix}.{node.name}", node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _public_functions(node.body, f"{prefix}.{node.name}")
+
+
 def _size_slots() -> dict[str, tuple[str, ...]]:
-    """Public module-level functions with a size parameter, from the source."""
+    """Public functions and methods with a size parameter, from the source."""
     found = {}
     for name, module in MODULES.items():
         tree = ast.parse(Path(module.__file__).read_text())
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                a = node.args
-                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-                slots = tuple(p for p in params if p in SIZE_NAMES)
-                if slots:
-                    found[f"{name}.{node.name}"] = slots
+        for fn, node in _public_functions(tree.body, name):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            slots = tuple(p for p in params if p in SIZE_NAMES)
+            if slots:
+                found[fn] = slots
     return found
 
 
@@ -155,13 +198,13 @@ SLOTS = [(fn, slot) for fn, (_, bounds) in CONTRACT.items() for slot in bounds]
 
 
 def _call(fn: str, **override):
-    module, name = fn.split(".")
+    module, *names = fn.split(".")
     kwargs = {
         key: value() if callable(value) else value
         for key, value in CONTRACT[fn][0].items()
     }
     kwargs.update(override)
-    return getattr(MODULES[module], name)(**kwargs)
+    return functools.reduce(getattr, names, MODULES[module])(**kwargs)
 
 
 def _same(a, b) -> bool:

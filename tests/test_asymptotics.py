@@ -133,6 +133,29 @@ def test_airy_asymptotic_branch_matches_reference_loop_bit_for_bit():
     assert asym._airy_arg(p, n, m_cap - 1) > asym._SERIES_LOG_CUTOFF
 
 
+def test_airy_log_array_matches_reference_bit_for_bit():
+    # the array route of the sweeps' Airy rows, at the edges of its branches:
+    # x = 6.0 is the last series argument, and just below the root a1 the
+    # float series is negative, so ln Ai is -inf (at a1 itself it is not)
+    a1 = asym.airy_root_a1()
+    rng = random.Random(19)
+    xs = [6.0, math.nextafter(6.0, math.inf), a1, math.nextafter(a1, -math.inf),
+          a1 - 0.5, -3.3, 0.0]
+    xs += [rng.uniform(-3.0, 12.0) for _ in range(2000)]
+    got = asym._airy_ai_log_array(np.array(xs))
+    assert got.tolist() == [reference_airy_ai_log(x) for x in xs]
+    assert got[0] > -math.inf and got[2] > -math.inf
+    assert got[3] == got[4] == got[5] == -math.inf
+
+
+def test_maclaurin_array_stops_each_entry_where_the_scalar_loop_stops():
+    # at a loose tolerance the next term still moves f, so an entry that
+    # kept adding after its own stop would differ from the scalar loop
+    xs = np.linspace(-6.0, 6.0, 121)
+    got = asym._maclaurin(xs, 0.3, 0.2, 1e-3, 0.0)
+    assert got.tolist() == [asym._maclaurin(x, 0.3, 0.2, 1e-3, 0.0) for x in xs.tolist()]
+
+
 def test_airy_root():
     ok, root = criteria.airy_root()
     assert ok, root
@@ -177,14 +200,15 @@ def test_mu_nu():
 
 
 def test_mu_nu_on_arrays_equal_scalar_calls():
-    # e_sequence evaluates its rows through the same mu and nu
+    # e_sequence evaluates its rows through the same mu and nu on integer
+    # arrays, the sweeps on integer-valued float arrays
     for d in range(2, 7):
         for n in (3, 4, 17, 399):
-            m = np.arange(0, n + 1)
-            mu_v, nu_v = asym.mu(d, n, m), asym.nu(d, n, m)
-            for j in range(n + 1):
-                assert mu_v[j] == asym.mu(d, n, j)
-                assert nu_v[j] == asym.nu(d, n, j)
+            for m in (np.arange(0, n + 1), np.arange(0, n + 1, dtype=float)):
+                mu_v, nu_v = asym.mu(d, n, m), asym.nu(d, n, m)
+                for j in range(n + 1):
+                    assert mu_v[j] == asym.mu(d, n, j)
+                    assert nu_v[j] == asym.nu(d, n, j)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 100])
@@ -422,7 +446,7 @@ def _prop_sweep_three_calls(d, n_values, eps, q_coeff, eta, m_exponent, super_si
         return out
 
     def log_ai(n, m):
-        return asym._airy_ai_log(a1 + b13 * (m + 1) / n ** (1.0 / 3.0))
+        return reference_airy_ai_log(a1 + b13 * (m + 1) / n ** (1.0 / 3.0))
 
     violations = []
     samples = 0
@@ -457,10 +481,16 @@ def _prop_sweep_three_calls(d, n_values, eps, q_coeff, eta, m_exponent, super_si
 
 
 @pytest.mark.parametrize(
-    "d, q", [(2, 13), (2, 25), (4, asym.resolved_q_coeff(4))]
+    "d, q",
+    sorted({
+        (d, coeff(d))
+        for d in range(2, 7)
+        for coeff in (asym.default_q_coeff, asym.candidate_q_coeff,
+                      asym.resolved_q_coeff)
+    }),
 )
 def test_prop_sweeps_match_three_call_reference(d, q):
-    ns = [200, 450, 1250]
+    ns = [200, 450, 1250, 5000]
     eps = 0.1
     eta = (2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01
     sub = asym.check_subsolution(d, n_values=ns, eps=eps, q_coeff=q)

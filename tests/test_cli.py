@@ -86,6 +86,30 @@ def test_verify_suites(capsys):
     assert json.loads(out)["result"]["supersolution"]["n_threshold"] is None
 
 
+# exit code and first 16 hex digits of the stdout sha256 of `verify --suite
+# props` for each (d, q) of CHANGES.md's table: the bytes hold every lhs and
+# rhs of every violation the two sweeps report
+PROPS_SHA256 = [
+    ("2", "13", 1, "95e7a5b0794c523a"),
+    ("2", "25", 0, "12a6009e2c64a5c9"),
+    ("3", "28", 1, "f362d4f8c5b60d8f"),
+    ("3", "52", 0, "636f77141a5df85a"),
+    ("4", "49", 1, "47e9e9776376cb7f"),
+    ("4", "85", 1, "773d01c138d2240f"),
+    ("5", "76", 1, "d6f701050335dba0"),
+    ("5", "124", 1, "dd38eeef561995b5"),
+    ("6", "109", 1, "a07ff9d35289b420"),
+    ("6", "169", 1, "a0a7c6d288a36ddf"),
+]
+
+
+@pytest.mark.parametrize("d, q, exit_code, sha", PROPS_SHA256)
+def test_verify_props_bytes_are_pinned(capsys, d, q, exit_code, sha):
+    code, out = run(capsys, "verify", "--suite", "props", "--d", d, "--q", q)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
+
+
 def test_dist_commands(capsys):
     code, out = run(capsys, "dist", "--d", "3", "--n", "500", "--limit", "bessel")
     assert code == 0
@@ -157,6 +181,16 @@ def test_exit_codes():
     assert cli.main(["enumerate", "words", "--d", "2", "--n", "6",
                      "--budget", "10"]) == 3
     assert cli.main(["count", "b", "--d", "2", "--n", "3"]) == 2
+
+
+def test_verify_words_refuses_d_with_no_word_to_check(capsys):
+    # criterion 4 enumerates the words of length (d+1)n <= 14: none for d >= 14
+    assert cli.main(["verify", "--suite", "words", "--d", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: multiplicity d must be <= 13 for words of length at most 14, got 14\n"
+    )
 
 
 @pytest.mark.parametrize(
