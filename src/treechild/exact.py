@@ -36,6 +36,9 @@ class CountTable:
     def row(self, n: int) -> list[int]:
         """Counts for k = 0 .. n-1."""
         n = _check_int("leaf count n", n, 1)
+        rows = self.n_values
+        if n not in rows:
+            raise ValueError(f"the table has rows {rows[0]}..{rows[-1]}, got n={n}")
         return [self.entries[(n, k)] for k in range(n)]
 
     def row_sum(self, n: int) -> int:

@@ -16,9 +16,10 @@ integer-only dynamic program and as an exact-rational two-term recurrence
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 import numpy as np
@@ -194,39 +195,32 @@ class BTable:
         return sum(self.rows[n][1:])
 
 
-def _b_rows(
-    d: int, guard: int | None = None
-) -> Iterator[tuple[list[int], list[int], int]]:
+def _b_rows(d: int, guard: int | None = None) -> Iterator[tuple[list[int], int]]:
     """Rows [0, b(n,1), ..., b(n,n)] of the b-table for n = 1, 2, ...
 
     Integer-only: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j), so row n
-    is the prefix sums of row n-1 (with b(n-1,n) = 0), scaled in place to
-    hold no third row of big integers.
+    is the prefix sums of row n-1 (with b(n-1,n) = 0) times binomials, each
+    computed once: rows share the ones they both use.
 
-    Yields (lo, hi, shift) with lo * 2**shift <= row <= hi * 2**shift
-    entrywise.  Without a guard the rows are exact: lo is hi and shift is
+    Yields (row, shift).  Without a guard the rows are exact and shift is
     0.  With a guard, once a row's last (largest) entry is longer than
     guard bits, the row is cut back to guard bits after its products,
-    lo rounded down and hi rounded up; lo is hi until the first cut.
+    every entry rounded down, and shift counts the bits cut so far: the
+    exact row is at least row * 2**shift (_c_brackets bounds the excess).
     """
-    lo = hi = [0, 1]  # b(1,1) = 1
-    shift = 0
+    row, shift = [0, 1], 0  # b(1,1) = 1
+    binom, t0 = [], 0  # binom[i] = C(t0 + i, d-1)
     while True:
-        yield lo, hi, shift
-        n = len(lo)
-        scale = [math.comb(d * n + m - 2, d - 1) for m in range(1, n + 1)]
-        rows = []
-        for row in (lo,) if lo is hi else (lo, hi):
-            row = list(accumulate(row))
-            row.append(row[-1])
-            for m in range(1, n + 1):
-                row[m] *= scale[m - 1]
-            rows.append(row)
-        lo, hi = rows[0], rows[-1]
-        cut = 0 if guard is None else hi[-1].bit_length() - guard
+        yield row, shift
+        n = len(row)
+        binom, t0 = binom[d * n - 2 - t0 :], d * n - 2
+        binom.extend(map(math.comb, range(t0 + len(binom), t0 + n + 1), repeat(d - 1)))
+        row = list(accumulate(row))
+        row.append(row[-1])
+        row = list(map(operator.mul, row, binom))
+        cut = 0 if guard is None else row[-1].bit_length() - guard
         if cut > 0:
-            lo = [x >> cut for x in lo]
-            hi = [-(-x >> cut) for x in hi]
+            row = list(map(operator.rshift, row, repeat(cut)))
             shift += cut
 
 
@@ -234,7 +228,7 @@ def b_table_int(d: int, n_max: int) -> BTable:
     """Integer-only dynamic program: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j)."""
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 1)
-    rows = [[], *(row for row, _, _ in islice(_b_rows(d), n_max))]
+    rows = [[], *(row for row, _ in islice(_b_rows(d), n_max))]
     return BTable(d=d, n_max=n_max, rows=rows)
 
 
@@ -276,7 +270,7 @@ def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
     d = _check_d(d)
     n = _check_int("n", n, 1)
-    row, _, _ = next(islice(_b_rows(d), n - 1, None))
+    row, _ = next(islice(_b_rows(d), n - 1, None))
     return sum(row)
 
 
@@ -310,13 +304,52 @@ def _round53(x: int) -> int:
     return q << cut
 
 
+def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
+    """(lo_sum, width, shift) for n = 1, 2, ... with lo_sum * 2**shift <=
+    c_n <= (lo_sum + width) * 2**shift, from the rows of _b_rows(d, guard).
+
+    lo_sum is the sum of the cut row.  Its excess E = exact / 2**shift - row
+    is kept as a float64 vector w and a power of two e >= 0 with E <= w * 2**e
+    entrywise; w is 0 until the first cut.  The recurrence only adds and
+    multiplies by S[m] = C(dn+m-2, d-1) > 0, and a cut floor(X / 2**c) of
+    the products X loses less than 1, so E' <= S * prefix(E) * 2**-c + 1.
+    (Every row from the first cut on cuts: its last entry is >= 5 times the
+    previous one, which had guard bits.)  With u = 2**-53, a rounding of a
+    normal y >= 0 keeps at least y * (1 - u).  Row n takes at most 2n-2
+    roundings in s (S <= s * 2**x: s[1] = (S[1] >> x) + 1 is exact, and
+    S[m+1]/S[m] = (t+1)/(t-d+2), t = dn+m-2, multiplies in the rest), n-2
+    in the prefix sums of w, 4 in the product, the rescale by 2**(e1-e),
+    the add of the +1 as 2**-e and the factor, and n-1 in the sum read off
+    for width.  The rescale is exact unless it underflows, and then off by
+    <= 2**-1075 = u * 2**-1022: one rounding of its sum with 2**-e, which
+    is raised to 2**-1022 when smaller, so every entry stays normal.
+    The factor 1 + (n+4) * 2**-50 > (1 - u)**-(4n+16) (n < 2**40) covers
+    all of them, and e keeps max(w) < 3, so no row overflows, at any d, n.
+    """
+    w, e, last, width = None, 0, 0, 0
+    for n, (row, shift) in enumerate(_b_rows(d, guard), start=1):
+        if shift:
+            p = np.cumsum(w) if last else np.zeros(n - 1)
+            s1 = math.comb(d * n - 1, d - 1)
+            x = max(s1.bit_length() - 53, 0)
+            t = np.arange(d * n - 1, d * n + n - 2, dtype=float)
+            s = np.cumprod(np.append(float((s1 >> x) + 1), (t + 1) / (t - d + 2)))
+            v = np.append(p, p[-1]) * s
+            e1 = e + x - (shift - last)
+            e = max(e1 + math.frexp(v[-1])[1], 0)
+            w = np.ldexp(v, e1 - e) + math.ldexp(1.0, max(-e, -1022))
+            w *= 1 + (n + 4) * 2.0**-50
+            num, den = float(w.sum()).as_integer_ratio()
+            width, last = -(-(num << e) // den), shift
+        yield sum(row), width, shift
+
+
 def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:
-    """ln c_n for n = 1..n_max from the rows of _b_rows(d, guard), or None
-    if the bracket on some c_n is too wide to fix its 53-bit rounding."""
+    """ln c_n for n = 1..n_max from _c_brackets(d, guard), or None if the
+    bracket on some c_n is too wide to fix its 53-bit rounding."""
     out = np.full(n_max + 1, np.nan)
-    for n, (lo, hi, shift) in zip(range(1, n_max + 1), _b_rows(d, guard)):
-        lo_sum = sum(lo)
-        if lo is not hi and _round53(lo_sum) != _round53(sum(hi)):
+    for n, (lo_sum, width, shift) in zip(range(1, n_max + 1), _c_brackets(d, guard)):
+        if _round53(lo_sum) != _round53(lo_sum + width):
             return None
         out[n] = math.log(lo_sum << shift)
     return out
@@ -325,19 +358,16 @@ def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:
 def c_log_sequence(d: int, n_max: int) -> np.ndarray:
     """ln c_n for n = 1..n_max, equal to math.log(c_count(d, n)) bit for bit.
 
-    The b-table rows are carried as fixed-point brackets of about
-    128 + n_max/2 bits (_b_rows with a guard) instead of exact integers.
-    Every entry is >= 0 and the recurrence uses only prefix sums and
-    products by positive integers, both monotone, so rounding lo down and
-    hi up after each row keeps lo * 2**shift <= row <= hi * 2**shift, and
-    c_n, the sum of row n, lies between the sums of lo and hi times
-    2**shift.  Rounding to 53 bits half-even is monotone too, so when both
-    sums round to the same 53-bit value, c_n rounds to it as well, and
-    math.log, which reads a big int only through that rounding, gives the
-    same double for lo_sum << shift as for c_n.  If some n is not
-    certified the whole sequence is redone with the guard doubled; this
-    ends, because a guard longer than every entry cuts nothing and leaves
-    the exact rows.  Entry [0] of the result is NaN padding.
+    The b-table rows are cut down to about 128 + n_max/2 bits (_b_rows with
+    a guard), and a float64 bound on what the cuts lost (_c_brackets) puts
+    c_n in [lo_sum, lo_sum + width] * 2**shift.  Rounding to 53 bits
+    half-even is monotone, so when both ends round to the same 53-bit
+    value, c_n rounds to it as well, and math.log, which reads a big int
+    only through that rounding, gives the same double for lo_sum << shift
+    as for c_n.  If some n is not certified the whole sequence is redone
+    with the guard doubled; this ends, because a guard longer than every
+    entry cuts nothing and leaves the exact rows with width 0.  Entry [0]
+    of the result is NaN padding.
     """
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 1)

@@ -156,6 +156,16 @@ def test_appendix_table_entries():
         exact.appendix_table(7)
 
 
+def test_count_table_row_outside_the_table_is_refused_by_name():
+    table = exact.appendix_table(2)
+    assert table.row_sum(8) == sum(table.row(8))
+    for call, n in ((table.row, 100), (table.row, 1), (table.row_sum, 9)):
+        with pytest.raises(ValueError, match=rf"^the table has rows 2\.\.8, got n={n}$"):
+            call(n)
+    with pytest.raises(ValueError, match=r"^the table has rows 2\.\.5, got n=6$"):
+        exact.appendix_table(6).row(6)
+
+
 def test_otc_count_log_matches_exact():
     for d in (2, 3, 5):
         for n in (5, 40, 200):

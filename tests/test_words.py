@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -269,9 +270,10 @@ def test_c_log_sequence_equals_exact_route():
 def test_c_log_bracket_is_live(monkeypatch):
     # 64 guard bits lose 53-bit agreement well before n = 400 at d = 2
     assert words._c_log_bracket(2, 400, 64) is None
-    # a guard longer than every entry cuts nothing: the exact rows
-    lo, hi, shift = next(islice(words._b_rows(2, 10**5), 399, None))
-    assert lo is hi and shift == 0
+    # a guard longer than every entry cuts nothing: the exact rows, with a
+    # width of exactly zero
+    _, width, shift = next(islice(words._c_brackets(2, 10**5), 399, None))
+    assert shift == 0 and width == 0
     # an uncertified pass is redone with the guard doubled
     bracket, guards = words._c_log_bracket, []
 
@@ -283,6 +285,52 @@ def test_c_log_bracket_is_live(monkeypatch):
     log_c = words.c_log_sequence(2, 400)
     assert guards == [328, 656]
     assert log_c.tobytes() == exact_c_log_sequence(2, 400).tobytes()
+
+
+def test_c_brackets_hold_the_exact_row_sums():
+    # c_n lies in [lo_sum, lo_sum + width] * 2**shift, both with a guard so
+    # short that the bracket soon fails to certify and with the guard
+    # c_log_sequence derives for n_max = 300
+    for d in range(2, 7):
+        for guard in (64, 128 + 300 // 2):
+            brackets = words._c_brackets(d, guard)
+            for n, (row, _), (lo_sum, width, shift) in zip(
+                range(1, 301), words._b_rows(d), brackets
+            ):
+                assert lo_sum << shift <= sum(row) <= (lo_sum + width) << shift, (
+                    d, guard, n
+                )
+            assert shift > 0 and width > 0, (d, guard)
+
+
+# sha256 of c_log_sequence(d, 1999).tobytes(), as the exact big-integer rows
+# give it
+C_LOG_1999_SHA256 = {
+    2: "1a9902fba2fd20b939d241b393e4ca8e7030550d3f815615ea843ff5187a5994",
+    6: "da03daf60e785af096abef41d065ac8e6e7db48592ed217a4e909231596450f4",
+}
+
+
+def test_c_log_sequence_long_runs_certify_on_the_first_guard(monkeypatch):
+    bracket, guards = words._c_log_bracket, []
+
+    def count(d, n_max, guard):
+        guards.append(guard)
+        return bracket(d, n_max, guard)
+
+    monkeypatch.setattr(words, "_c_log_bracket", count)
+    pinned = {}
+    for d, digest in C_LOG_1999_SHA256.items():
+        guards.clear()
+        pinned[d] = words.c_log_sequence(d, 1999).tobytes()
+        assert hashlib.sha256(pinned[d]).hexdigest() == digest, d
+        assert guards == [1127], d
+    # from n = 2920 on the width, in units of 2**shift, is past 2**1024,
+    # beyond float64: only its power-of-two exponent holds it
+    guards.clear()
+    log_c = words.c_log_sequence(2, 3500)
+    assert guards == [1878]
+    assert log_c[:2000].tobytes() == pinned[2]
 
 
 def test_round53_matches_cpython():
