@@ -6,7 +6,8 @@ reports share the envelope {"command", "params", "result", "version"}, and
 integers at or beyond 2^53 are emitted as decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+exceeded.  Numeric modules are imported in the handler that uses them, so
+count, enumerate and every verify suite but props and asym load no numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import json
 import sys
 
 from . import __version__
-from . import asymptotics as asym
-from . import criteria
-from . import distributions as dist
 from . import exact
 from . import networks as nw
 from . import words
@@ -137,6 +135,7 @@ def _suite(head: dict, *parts: tuple[bool, list]) -> tuple[bool, dict]:
 
 
 def _suite_asym(d: int) -> tuple[bool, dict]:
+    from . import criteria
     ok, root = criteria.airy_root()
     parts = [(ok, [{"check": "airy_root", "value": root["value"], "ok": ok}])]
     if d in (2, 3):
@@ -147,6 +146,7 @@ def _suite_asym(d: int) -> tuple[bool, dict]:
 
 
 def _cmd_verify(args) -> int:
+    from . import criteria
     suite = args.suite
     d = args.d if args.d is not None else 2
     if suite == "tables":
@@ -165,6 +165,7 @@ def _cmd_verify(args) -> int:
                              "and takes no --d")
         ok, report = _suite({}, criteria.sandwich())
     elif suite == "props":
+        from . import asymptotics as asym
         q = asym.resolved_q_coeff(d) if args.q is None else args.q
         ok, report = criteria.proposition_sweeps(d, q)
     elif suite == "asym":
@@ -182,6 +183,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_dist(args) -> int:
+    from . import criteria
+    from . import distributions as dist
     csv = args.format == "csv"
     for mode, flag, given in (
             ("--exploratory", "--limit", args.exploratory and args.limit),
@@ -269,6 +272,7 @@ def _cmd_dist(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_asym(args) -> int:
+    from . import asymptotics as asym
     if args.what == "root":
         _emit(_envelope("asym", {"what": "root"}, {"a1": asym.airy_root_a1()}))
         return 0

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import time
 
-from . import asymptotics as asym
-from . import distributions as dist
 from . import exact
 from . import networks as nw
 from . import words
@@ -148,6 +146,7 @@ def sandwich() -> tuple[bool, list[dict]]:
 
 def airy_root() -> tuple[bool, dict]:
     """Criterion 7: a1 within 1e-6 of -2.33810741 and |Ai(a1)| < 1e-8."""
+    from . import asymptotics as asym
     root = asym.airy_root_a1()
     error, residual = abs(root - AIRY_A1), abs(asym.airy_ai(root))
     ok = error < 1e-6 and residual < 1e-8
@@ -159,6 +158,7 @@ def limit_laws() -> tuple[bool, dict]:
     normal sup-distance < 0.05, |mean| < 0.1, variance in (0.8, 1.2) at
     n = 2000 (d = 2); P(max) >= 0.99 at n = 100 (d = 4).  The details hold
     each regime's seconds."""
+    from . import distributions as dist
     t0 = time.monotonic()
     tvs = [dist.bessel_limit_check(n) for n in (100, 1000, 10000)]
     t1 = time.monotonic()
@@ -181,6 +181,7 @@ def limit_laws() -> tuple[bool, dict]:
 def otc_total(d: int) -> tuple[bool, list[dict]]:
     """Criterion 9: exact over asymptotic one-component totals within 2% at
     n = 500, or for d = 2, |ratio - 1| decreasing over n = 250..2000."""
+    from . import asymptotics as asym
     def ratio(n: int) -> float:
         return math.exp(exact.otc_total_log(d, n) - asym.otc_total_asymptotic(d, n))
 
@@ -198,6 +199,7 @@ def theta(d: int) -> tuple[bool, dict]:
     oscillate by < 0.5 with shrinking dyadic differences, flipping the sign
     of a1 makes them oscillate by > 5, and the e-diagonal fit of the
     stretched coefficient is within 10%."""
+    from . import asymptotics as asym
     log_c = words.c_log_sequence(d, 1999)
     window = asym.theta_residual_window(d, 500, 2000, log_c=log_c)
     dyadic = [float(x) for x in window["dyadic_differences"]]
@@ -216,6 +218,7 @@ def theta(d: int) -> tuple[bool, dict]:
 def fixed_k_trend() -> tuple[bool, dict]:
     """Criterion 11: TC_{n,k} over its fixed-k asymptotic increases
     strictly over n = 4..8 for d = 2 and k = 1, 2."""
+    from . import asymptotics as asym
     table = exact.appendix_table(2)
     ratios = [
         [table[(n, k)] / math.exp(asym.fixed_k_asymptotic(2, n, k))
@@ -230,6 +233,7 @@ def proposition_sweeps(d: int, q_coeff: int) -> tuple[bool, dict]:
     """Criterion 12: the sub- and super-solution sweeps with prefactor
     coefficient q_coeff each reach a threshold above which nothing is
     violated."""
+    from . import asymptotics as asym
     sub = asym.check_subsolution(d, q_coeff=q_coeff)
     sup = asym.check_supersolution(d, q_coeff=q_coeff)
     ok = sub.n_threshold is not None and sup.n_threshold is not None

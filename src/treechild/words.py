@@ -22,8 +22,6 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Iterator
 
-import numpy as np
-
 from .exact import _check_d, _check_int
 
 
@@ -326,6 +324,7 @@ def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
     The factor 1 + (n+4) * 2**-50 > (1 - u)**-(4n+16) (n < 2**40) covers
     all of them, and e keeps max(w) < 3, so no row overflows, at any d, n.
     """
+    import numpy as np
     w, e, last, width = None, 0, 0, 0
     for n, (row, shift) in enumerate(_b_rows(d, guard), start=1):
         if shift:
@@ -347,6 +346,7 @@ def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
 def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:
     """ln c_n for n = 1..n_max from _c_brackets(d, guard), or None if the
     bracket on some c_n is too wide to fix its 53-bit rounding."""
+    import numpy as np
     out = np.full(n_max + 1, np.nan)
     for n, (lo_sum, width, shift) in zip(range(1, n_max + 1), _c_brackets(d, guard)):
         if _round53(lo_sum) != _round53(lo_sum + width):

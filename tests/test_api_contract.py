@@ -13,13 +13,18 @@ result, of the same types, as the Python int.
 import ast
 import dataclasses
 import functools
+import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treechild
 from treechild import asymptotics, criteria, distributions, exact, networks, words
 
 MODULES = {
@@ -258,3 +263,22 @@ def test_size_below_its_bound_is_refused_by_name(fn, slot):
 def test_numpy_integer_size_gives_the_same_result(fn, slot):
     value = CONTRACT[fn][0][slot]
     assert _same(_call(fn, **{slot: np.int64(value)}), _call(fn))
+
+
+def test_package_imports_submodules_on_first_use():
+    # `import treechild` loads no submodule; treechild.<name> loads one
+    src = Path(treechild.__file__).resolve().parent
+    probe = ("import sys, treechild; "
+             "print(sorted(m for m in sys.modules if m.startswith('treechild.')))")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(src.parent)},
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert out.strip() == "[]"
+    assert set(treechild._SUBMODULES) == {
+        p.stem for p in src.glob("*.py") if p.stem != "__init__"}
+    for name in treechild._SUBMODULES:
+        assert getattr(treechild, name) is importlib.import_module(
+            f"treechild.{name}")
+    with pytest.raises(AttributeError, match="nosuch"):
+        treechild.nosuch

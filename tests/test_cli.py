@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -12,7 +15,8 @@ from treechild import asymptotics as asym
 from treechild import distributions as dist
 from treechild import networks as nw
 
-GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "readme_cli_goldens.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "bench" / "readme_cli_goldens.json"
 
 
 def run(capsys, *argv):
@@ -485,3 +489,45 @@ def test_big_integers_become_strings():
     assert criteria.json_int(2**53) == str(2**53)
     assert criteria.json_int(8485564550400) == 8485564550400
     assert json.dumps(criteria.json_int(10**20)) == '"100000000000000000000"'
+
+
+# The child runs each argv through cli.main with stdout captured, then
+# reports (exit, sha256) per argv and whether numpy was loaded before and
+# after one numeric command.
+_NUMPY_PROBE = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from treechild import cli
+
+def run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+
+results = [run(argv) for argv in json.loads(sys.argv[1])]
+before = "numpy" in sys.modules
+run(["asym", "root"])
+print(json.dumps([results, before, "numpy" in sys.modules]))
+"""
+
+
+def test_integer_commands_run_without_numpy():
+    # count, enumerate and verify --suite sandwich use no array, so a fresh
+    # process serves them without importing numpy; asym root then loads it
+    goldens = [
+        g for g in json.loads(GOLDENS.read_text())["commands"]
+        if g["argv"][0] in ("count", "enumerate")
+        or g["argv"] == ["verify", "--suite", "sandwich"]
+    ]
+    assert len(goldens) == 9
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE,
+         json.dumps([g["argv"] for g in goldens])],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    results, before, after = json.loads(proc.stdout)
+    assert results == [[g["exit"], g["sha256"]] for g in goldens]
+    assert not before
+    assert after
