@@ -42,6 +42,7 @@ that takes one network at a time never holds more than one.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -91,26 +92,14 @@ class PhyloNetwork:
         return dict(self.leaf_labels)
 
     def children(self) -> list[list[int]]:
-        num = self.num_nodes
-        out: list[list[int]] = [[] for _ in range(num)]
-        for u, v in self.edges:
-            if not (0 <= u < num and 0 <= v < num):
-                raise _edge_outside((u, v), num)
-            out[u].append(v)
-        return out
-
-    def parents(self) -> list[list[int]]:
-        num = self.num_nodes
-        out: list[list[int]] = [[] for _ in range(num)]
-        for u, v in self.edges:
-            if not (0 <= u < num and 0 <= v < num):
-                raise _edge_outside((u, v), num)
-            out[v].append(u)
-        return out
-
-
-def _edge_outside(edge: tuple[int, int], num: int) -> ValueError:
-    return ValueError(f"edge {edge} names a node outside 0..{num - 1}")
+        """Child lists; ValueError naming an edge that is not simple."""
+        children, bad = _simple_children(self)
+        if bad is not None:
+            raise ValueError(
+                f"edge {bad} is a loop, a repeat or names a node outside "
+                f"0..{self.num_nodes - 1}"
+            )
+        return children
 
 
 @dataclass
@@ -130,29 +119,33 @@ def validate(net: PhyloNetwork) -> ValidationReport:
     return _validate(net)[0]
 
 
-def _validate(net: PhyloNetwork) -> tuple[ValidationReport, list[list[int]]]:
-    """The report, and the child lists built from the edges that are simple.
+def _simple_children(net: PhyloNetwork) -> tuple[list[list[int]], tuple | None]:
+    """The child lists of the simple edges, and the last edge that is not.
 
-    An edge with an end outside 0..N-1, a loop or a repeat fails
-    simple_graph and stays out of the child lists, so no later check
-    indexes by a node id the network does not have.
+    An edge with an end outside 0..N-1, a loop or a repeat is not simple;
+    it is left out, so no later check indexes by a node id that is absent.
     """
+    num = net.num_nodes
+    children: list[list[int]] = [[] for _ in range(num)]
+    bad = None
+    for u, v in net.edges:
+        if not (0 <= u < num and 0 <= v < num) or u == v or v in children[u]:
+            bad = (u, v)
+            continue
+        children[u].append(v)
+    return children, bad
+
+
+def _validate(net: PhyloNetwork) -> tuple[ValidationReport, list[list[int]]]:
+    """The report, and the child lists of the simple edges."""
     checks: list[tuple[str, bool, object]] = []
     num = net.num_nodes
+    children, witness_edge = _simple_children(net)
     indeg = [0] * num
-    children: list[list[int]] = [[] for _ in range(num)]
-    seen_edges = set()
-    simple = True
-    witness_edge = None
-    for u, v in net.edges:
-        if not (0 <= u < num and 0 <= v < num) or u == v or (u, v) in seen_edges:
-            simple = False
-            witness_edge = (u, v)
-            continue
-        seen_edges.add((u, v))
-        children[u].append(v)
-        indeg[v] += 1
-    checks.append(("simple_graph", simple, witness_edge))
+    for kids in children:
+        for v in kids:
+            indeg[v] += 1
+    checks.append(("simple_graph", witness_edge is None, witness_edge))
 
     roots = [i for i, r in enumerate(net.roles) if r == ROOT]
     checks.append(("single_root", len(roots) == 1, roots))
@@ -200,25 +193,24 @@ def _require_valid(net: PhyloNetwork) -> list[list[int]]:
     return children
 
 
-def _tree_child_children(net: PhyloNetwork) -> list[list[int]] | None:
-    """The child lists of a valid network, or None if it is not tree-child."""
-    children = _require_valid(net)
-    for i, role in enumerate(net.roles):
-        if role != LEAF and all(net.roles[c] == RET for c in children[i]):
-            return None
-    return children
+def _is_tree_child(net: PhyloNetwork, children: list[list[int]]) -> bool:
+    """Every non-leaf node has at least one child that is not a reticulation."""
+    roles = net.roles
+    above = {u for u, kids in enumerate(children) for c in kids if roles[c] != RET}
+    return all(role == LEAF or u in above for u, role in enumerate(roles))
 
 
 def _require_tree_child(net: PhyloNetwork, caller: str) -> list[list[int]]:
-    children = _tree_child_children(net)
-    if children is None:
+    """The child lists of a valid tree-child network; ValueError otherwise."""
+    children = _require_valid(net)
+    if not _is_tree_child(net, children):
         raise ValueError(f"{caller} expects a tree-child network")
     return children
 
 
 def is_tree_child(net: PhyloNetwork) -> bool:
     """Every non-leaf node has at least one child that is not a reticulation."""
-    return _tree_child_children(net) is not None
+    return _is_tree_child(net, _require_valid(net))
 
 
 def is_one_component(net: PhyloNetwork) -> bool:
@@ -441,10 +433,15 @@ def _network_to_coord(net: PhyloNetwork, children: list[list[int]]) -> Coord:
 _ROLE_RANK = {ROOT: 0, TREE: 1, RET: 2, LEAF: 3}
 
 
-def _path_count_vectors(
-    net: PhyloNetwork, children: list[list[int]]
-) -> list[tuple[int, ...]]:
-    """Per node, the vector of directed path counts to each labeled leaf."""
+def _path_count_vectors(net: PhyloNetwork, children: list[list[int]]) -> list[int]:
+    """Per node, mu (the directed path counts to each leaf label) as one int.
+
+    Label j takes a field of num_nodes + 1 bits, with label 1 the most
+    significant.  A path is fixed by its set of nodes, so a node has fewer
+    than 2**num_nodes paths to any leaf: no field overflows into the next,
+    a node's int is the sum of its children's, and the ints compare as the
+    vectors (c_1, ..., c_n) compare as tuples.
+    """
     num = net.num_nodes
     n = net.n
     labels = net.labels
@@ -461,23 +458,21 @@ def _path_count_vectors(
             if state[u] == 1:
                 state[u] = 2
                 order.append(u)
-    vecs: list[list[int]] = [[0] * n for _ in range(num)]
+    width = num + 1
+    mu = [0] * num
     for u in order:
         if net.roles[u] == LEAF:
-            vecs[u][labels[u] - 1] = 1
-        else:
-            for c in children[u]:
-                vu, vc = vecs[u], vecs[c]
-                for i in range(n):
-                    vu[i] += vc[i]
-    return [tuple(v) for v in vecs]
+            mu[u] = 1 << width * (n - labels[u])
+        for c in children[u]:
+            mu[u] += mu[c]
+    return mu
 
 
 def _renumbered_by_mu(net: PhyloNetwork, children: list[list[int]]) -> PhyloNetwork:
     """The copy of a tree-child network with nodes sorted by (role, mu)."""
-    vecs = _path_count_vectors(net, children)
+    mu = _path_count_vectors(net, children)
     order = sorted(
-        range(net.num_nodes), key=lambda i: (_ROLE_RANK[net.roles[i]], vecs[i])
+        range(net.num_nodes), key=lambda i: (_ROLE_RANK[net.roles[i]], mu[i])
     )
     pos = [0] * net.num_nodes
     for new, old in enumerate(order):
@@ -570,33 +565,14 @@ def otc_insertion(
     if not 1 <= label <= net.n + 1:
         raise ValueError(f"label {label} outside 1..{net.n + 1}")
 
-    counts: dict[tuple[int, int], int] = {}
-    for e in positions:
-        counts[tuple(e)] = counts.get(tuple(e), 0) + 1
-
-    roles = list(net.roles)
-    leaf_labels = [
+    roles = [*net.roles, RET, LEAF]
+    ret, new_leaf = len(roles) - 2, len(roles) - 1
+    leaf_labels = [(new_leaf, label)] + [
         (node, lab + 1 if lab >= label else lab) for node, lab in net.leaf_labels
     ]
-    edges = set(net.edges)
-
-    def new_node(role: str) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    ret = new_node(RET)
-    new_leaf = new_node(LEAF)
-    leaf_labels.append((new_leaf, label))
-    for (u, v), c in counts.items():
-        edges.remove((u, v))
-        prev = u
-        for _ in range(c):
-            stub = new_node(TREE)
-            edges.add((prev, stub))
-            edges.add((stub, ret))
-            prev = stub
-        edges.add((prev, v))
-    edges.add((ret, new_leaf))
+    edges = {*net.edges, (ret, new_leaf)}
+    for edge, count in Counter(map(tuple, positions)).items():
+        _feed(roles, edges, edge, count, ret)
     return PhyloNetwork(
         d=net.d,
         roles=tuple(roles),
@@ -617,34 +593,31 @@ def ret_insertion(net: PhyloNetwork, free_edge: tuple[int, int]) -> PhyloNetwork
     if tuple(free_edge) not in set(_free_edges(net, children)):
         raise ValueError(f"{free_edge} is not a free edge")
     u, v = free_edge
-    root = net.root
-    root_child = children[root][0]
-
-    roles = list(net.roles)
+    roles = [*net.roles, RET]
+    ret = len(roles) - 1
     edges = set(net.edges)
-
-    def new_node(role: str) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    ret = new_node(RET)
     edges.remove((u, v))
-    edges.add((u, ret))
-    edges.add((ret, v))
-    edges.remove((root, root_child))
-    prev = root
-    for _ in range(net.d - 1):
-        w = new_node(TREE)
-        edges.add((prev, w))
-        edges.add((w, ret))
-        prev = w
-    edges.add((prev, root_child))
+    edges |= {(u, ret), (ret, v)}
+    _feed(roles, edges, (net.root, children[net.root][0]), net.d - 1, ret)
     return PhyloNetwork(
         d=net.d,
         roles=tuple(roles),
         edges=tuple(sorted(edges)),
         leaf_labels=net.leaf_labels,
     )
+
+
+def _feed(roles: list[str], edges: set, edge: tuple, count: int, ret: int) -> None:
+    """Subdivide edge by count new stubs in series, each feeding ret."""
+    u, v = edge
+    edges.remove(edge)
+    for _ in range(count):
+        roles.append(TREE)
+        stub = len(roles) - 1
+        edges.add((u, stub))
+        edges.add((stub, ret))
+        u = stub
+    edges.add((u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -875,12 +848,8 @@ def _dot_text(cf: PhyloNetwork, name: str) -> str:
     labels = cf.labels
     lines = [f"digraph {name} {{"]
     for i, role in enumerate(cf.roles):
-        if role == LEAF:
-            lines.append(
-                f'  n{i} [shape={_DOT_SHAPE[role]}, label="{labels[i]}"];'
-            )
-        else:
-            lines.append(f'  n{i} [shape={_DOT_SHAPE[role]}, label=""];')
+        label = labels[i] if role == LEAF else ""
+        lines.append(f'  n{i} [shape={_DOT_SHAPE[role]}, label="{label}"];')
     for u, v in sorted(cf.edges):
         lines.append(f"  n{u} -> n{v};")
     lines.append("}")

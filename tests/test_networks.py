@@ -75,10 +75,11 @@ def test_validate_rejects_parallel_edges_and_cycles():
     assert not nw.validate(net).ok
 
 
-@pytest.mark.parametrize("bad_edge", [(0, 5), (-1, 1)])
+@pytest.mark.parametrize("bad_edge", [(0, 5), (-1, 1), (1, 1), (0, 1)])
 def test_validate_reports_out_of_range_edge(bad_edge):
-    # a node id outside 0..N-1 fails simple_graph with the edge as witness,
-    # and the same network read from JSON is refused by canonicalisation
+    # a node id outside 0..N-1, a loop or a repeat fails simple_graph with
+    # the edge as witness, and the same network read from JSON is refused by
+    # canonicalisation
     net = nw.PhyloNetwork(
         d=2, roles=(nw.ROOT, nw.LEAF), edges=((0, 1), bad_edge), leaf_labels=((1, 1),)
     )
@@ -94,11 +95,10 @@ def test_validate_reports_out_of_range_edge(bad_edge):
     })
     with pytest.raises(ValueError, match="simple_graph"):
         nw.canonical_key(nw.from_json(data))
-    # the public adjacency lists refuse it too, naming the edge, instead of
-    # wrapping -1 to the last node or raising IndexError
-    for adjacency in (net.children, net.parents):
-        with pytest.raises(ValueError, match=re.escape(f"edge {bad_edge}")):
-            adjacency()
+    # the public child lists refuse it too, naming the edge, instead of
+    # wrapping -1 to the last node, raising IndexError or listing it
+    with pytest.raises(ValueError, match=re.escape(f"edge {bad_edge}")):
+        net.children()
 
 
 def test_non_tree_child_detected():
@@ -307,11 +307,57 @@ def test_tree_generator_gives_each_tree_once():
             assert sorted(tree_leaves(tree)) == labels
 
 
+def tuple_mu(net):
+    """Per node, the tuple of directed path counts to each leaf label, one
+    label at a time: the reference for the packed ints of the module."""
+    children = net.children()
+    n = net.n
+    labels = net.labels
+    order = []
+    state = [0] * net.num_nodes
+    stack = [net.root]
+    while stack:  # iterative postorder
+        u = stack[-1]
+        if state[u] == 0:
+            state[u] = 1
+            stack.extend(children[u])
+        else:
+            stack.pop()
+            if state[u] == 1:
+                state[u] = 2
+                order.append(u)
+    vecs = [[0] * n for _ in range(net.num_nodes)]
+    for u in order:
+        if net.roles[u] == nw.LEAF:
+            vecs[u][labels[u] - 1] = 1
+        else:
+            for c in children[u]:
+                vu, vc = vecs[u], vecs[c]
+                for i in range(n):
+                    vu[i] += vc[i]
+    return [tuple(v) for v in vecs]
+
+
 def audit_key(net):
     """Sorted multiset of (role, path-count vector): the mu-representation of
-    Cardona, Rossello and Valiente, independent of the coordinates."""
-    vecs = nw._path_count_vectors(net, net.children())
-    return tuple(sorted(zip(net.roles, vecs)))
+    Cardona, Rossello and Valiente, independent of the coordinates and of
+    the packed mu."""
+    return tuple(sorted(zip(net.roles, tuple_mu(net))))
+
+
+def test_packed_mu_sorts_nodes_as_tuple_mu():
+    # the canonical numbering sorts nodes by role and packed mu; sorting by
+    # role and the tuple of path counts must give the same order
+    for d, n in [(2, 4), (3, 3)]:
+        for k in range(n):
+            for net in nw.enumerate_tc(d, n, k):
+                packed = nw._path_count_vectors(net, net.children())
+                vecs = tuple_mu(net)
+                rank = [nw._ROLE_RANK[role] for role in net.roles]
+                nodes = range(net.num_nodes)
+                assert sorted(nodes, key=lambda i: (rank[i], packed[i])) == sorted(
+                    nodes, key=lambda i: (rank[i], vecs[i])
+                ), (d, n, k)
 
 
 TC_GENERATOR_CELLS = [
@@ -510,10 +556,9 @@ def test_enumerate_tc_matches_fixtures(d, n, k, expected):
         t, total = exact.node_counts(d, n, k)
         assert net.num_nodes == total
         # tree-child + degrees force every reticulation parent to be a tree node
-        parents = net.parents()
-        for i, role in enumerate(net.roles):
-            if role == nw.RET:
-                assert all(net.roles[p] == nw.TREE for p in parents[i])
+        for u, v in net.edges:
+            if net.roles[v] == nw.RET:
+                assert net.roles[u] == nw.TREE
 
 
 @pytest.mark.parametrize("d,n,k", [(2, 1, 0), (2, 3, 1), (3, 3, 2)])
@@ -556,18 +601,23 @@ def test_export_json_round_trip():
         assert sorted(payload["leaf_labels"].values()) == [1, 2, 3]
 
 
+# (enumerator, d, n, k, random node renumberings per network)
 PROPERTY_CELLS = (
-    [(nw.enumerate_tc, 2, n, k) for n in (1, 2, 3) for k in range(n)]
-    + [(nw.enumerate_tc, 3, 3, k) for k in range(3)]
-    + [(nw.enumerate_otc, d, 4, k) for d in (2, 3) for k in range(4)]
+    [(nw.enumerate_tc, 2, n, k, 3) for n in (1, 2, 3) for k in range(n)]
+    + [(nw.enumerate_tc, 3, 3, k, 3) for k in range(3)]
+    + [(nw.enumerate_otc, d, 4, k, 3) for d in (2, 3) for k in range(4)]
+    + [(nw.enumerate_tc, 2, 4, k, 1) for k in range(4)]
+    + [(nw.enumerate_tc, 4, 3, k, 1) for k in range(3)]
 )
 
 
 @pytest.mark.parametrize(
-    "enumerate_fn,d,n,k", PROPERTY_CELLS,
-    ids=[f"{fn.__name__}-d{d}-n{n}-k{k}" for fn, d, n, k in PROPERTY_CELLS],
+    "enumerate_fn,d,n,k,relabellings", PROPERTY_CELLS,
+    ids=[f"{fn.__name__}-d{d}-n{n}-k{k}" for fn, d, n, k, _ in PROPERTY_CELLS],
 )
-def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
+def test_key_and_json_invariant_over_enumerated_networks(
+    enumerate_fn, d, n, k, relabellings
+):
     # every network an oracle enumerates: it is its own canonical form, so
     # the writers the CLI calls on it give the public exporters' bytes; random
     # node renumberings keep the key and the exported JSON and DOT bytes, and
@@ -581,7 +631,7 @@ def test_key_and_json_invariant_over_enumerated_networks(enumerate_fn, d, n, k):
         assert json.dumps(nw._json_payload(net)).encode() == data
         assert nw._dot_text(net, "network").encode() == dot
         assert nw.canonical_key(nw.from_json(data)) == key
-        for _ in range(3):
+        for _ in range(relabellings):
             perm = list(range(net.num_nodes))
             rng.shuffle(perm)
             other = permuted(net, perm)
