@@ -7,7 +7,8 @@ integers at or beyond 2^53 are emitted as decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.  Numeric modules are imported in the handler that uses them, so
-count, enumerate and every verify suite but props and asym load no numpy.
+count, enumerate, dist --exploratory and every verify suite but props and
+asym load no numpy.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ with n leaves has point probabilities proportional to the exact counts.
 Its three limit regimes are checked at desk scale: a central limit law for
 d = 2 (after centering at n - sqrt(n)), the discrete Bessel law of the
 deficiency n-1-R for d = 3, and degeneracy for d >= 4.  All probability
-work happens in log space from the counting formula.
+work happens in log space from the counting formula.  numpy is imported
+in the functions that build arrays, so the exploratory reports, which read
+integer rows, load none.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact import CountTable, _check_int, _check_params, otc_count_log
 from .words import DEFAULT_WORD_BUDGET, cnk_words_count
@@ -40,7 +40,7 @@ class Pmf:
         return float(math.exp(self.log_probs[k]))
 
     def mode(self) -> int:
-        return int(np.argmax(self.log_probs))
+        return int(self.log_probs.argmax())
 
     def to_csv(self) -> str:
         lines = ["k,log_prob"]
@@ -56,16 +56,13 @@ class MomentSummary:
     third_abs: float  # standardized third absolute moment
 
 
-def _log_norm(logs: np.ndarray) -> np.ndarray:
-    top = logs.max()
-    return logs - (top + math.log(np.exp(logs - top).sum()))
-
-
 def r_pmf(d: int, n: int) -> Pmf:
     """P(R = k) proportional to the one-component count with k reticulations."""
+    import numpy as np
     d, n = _check_params(d, n)
     logs = np.array([otc_count_log(d, n, k) for k in range(n)])
-    return Pmf(d=d, n=n, log_probs=_log_norm(logs))
+    top = logs.max()
+    return Pmf(d=d, n=n, log_probs=logs - (top + math.log(np.exp(logs - top).sum())))
 
 
 def modified_bessel_i(v: int, a: float) -> float:
@@ -129,6 +126,7 @@ def normal_limit_check(n: int) -> tuple[MomentSummary, float]:
     The lattice CDF is compared with the normal CDF at lattice midpoints.
     At n = 1 the law is a point mass with no third moment, so n >= 2.
     """
+    import numpy as np
     n = _check_int("leaf count n", n, 2)
     pmf = r_pmf(2, n)
     probs = np.exp(pmf.log_probs)
@@ -147,6 +145,7 @@ def normal_limit_check(n: int) -> tuple[MomentSummary, float]:
 
 def bessel_limit_check(n: int) -> float:
     """Total variation distance of the law of n-1-R to Bessel(1,2), d = 3."""
+    import numpy as np
     pmf = r_pmf(3, n)
     probs = np.exp(pmf.log_probs)
     total = 0.0

@@ -1,6 +1,5 @@
 import math
 import random
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,10 +31,10 @@ def test_airy_positive_right_of_root():
 
 
 def reference_airy_series(x):
-    # the float Maclaurin loop of ln Ai's series branch, kept as written
-    # before both Ai routes shared one loop
-    c1 = float(asym._AI0)
-    c2 = float(asym._AIP0)
+    # the float Maclaurin loop of Ai and of ln Ai's series branch, kept as
+    # written before both routes shared one loop
+    c1 = asym._AI0
+    c2 = asym._AIP0
     x3 = x * x * x
     f = t = 1.0
     g = u = x
@@ -51,34 +50,17 @@ def reference_airy_series(x):
     return c1 * f - c2 * g
 
 
-def reference_airy_ai(x):
-    # the 40-digit Decimal loop of airy_ai, kept as written before both Ai
-    # routes shared one loop
-    with localcontext() as ctx:
-        ctx.prec = 40
-        xd = Decimal(x)
-        x3 = xd * xd * xd
-        f = t = Decimal(1)
-        g = u = xd
-        tiny = Decimal("1e-42")
-        for k in range(200):
-            t = t * x3 / ((3 * k + 2) * (3 * k + 3))
-            u = u * x3 / ((3 * k + 3) * (3 * k + 4))
-            f += t
-            g += u
-            if abs(t) < tiny * (1 + abs(f)) and abs(u) < tiny * (1 + abs(g)):
-                break
-        return float(asym._AI0 * f - asym._AIP0 * g)
-
-
 def test_airy_loop_matches_reference_loops_bit_for_bit():
+    # Ai is the float series up to the cutoff and the exponential of the
+    # asymptotic expansion above it; ln Ai takes the same two loops
     rng = random.Random(13)
-    for x in [rng.uniform(-8.0, 8.0) for _ in range(2000)]:
-        assert asym.airy_ai(x) == reference_airy_ai(x), x
+    xs = [rng.uniform(-8.0, 8.0) for _ in range(2000)]
+    for x, got in zip(xs, asym._airy_ai_log(np.array(xs)).tolist()):
         if x <= asym._SERIES_LOG_CUTOFF:
-            v = reference_airy_series(x)
-            want = math.log(v) if v > 0.0 else -math.inf
-            assert asym._airy_ai_log(x) == want, x
+            assert asym.airy_ai(x) == reference_airy_series(x), x
+        else:
+            assert asym.airy_ai(x) == math.exp(reference_airy_asymptotic(x)), x
+        assert got == reference_airy_ai_log(x), x
     assert asym.airy_root_a1() == -2.338107410459767
 
 
@@ -112,9 +94,10 @@ def reference_airy_ai_log(x):
 
 def test_airy_asymptotic_branch_matches_reference_loop_bit_for_bit():
     rng = random.Random(17)
-    for x in [rng.uniform(6.0, 1e4) for _ in range(20000)]:
-        if x > asym._SERIES_LOG_CUTOFF:
-            assert asym._airy_ai_log(x) == reference_airy_asymptotic(x), x
+    xs = [rng.uniform(6.0, 1e4) for _ in range(20000)]
+    assert all(x > asym._SERIES_LOG_CUTOFF for x in xs)
+    got = asym._airy_ai_log(np.array(xs)).tolist()
+    assert got == [reference_airy_asymptotic(x) for x in xs]
     # every Airy argument of the n = 5000 row of the default d = 3
     # super-solution sweep, through the memoised rows the sweeps read
     p = asym.params(3)
@@ -142,7 +125,7 @@ def test_airy_log_array_matches_reference_bit_for_bit():
     xs = [6.0, math.nextafter(6.0, math.inf), a1, math.nextafter(a1, -math.inf),
           a1 - 0.5, -3.3, 0.0]
     xs += [rng.uniform(-3.0, 12.0) for _ in range(2000)]
-    got = asym._airy_ai_log_array(np.array(xs))
+    got = asym._airy_ai_log(np.array(xs))
     assert got.tolist() == [reference_airy_ai_log(x) for x in xs]
     assert got[0] > -math.inf and got[2] > -math.inf
     assert got[3] == got[4] == got[5] == -math.inf
@@ -163,12 +146,11 @@ def test_airy_root():
 
 
 def test_airy_log_matches_scipy():
-    for x in [0.0, 2.5, 5.0, 5.9, 6.1, 7.5, 20.0, 90.0]:
+    xs = [0.0, 2.5, 5.0, 5.9, 6.1, 7.5, 20.0, 90.0]
+    for x, got in zip(xs, asym._airy_ai_log(np.array(xs)).tolist()):
         ai = special.airy(x)[0]
         if ai > 0:
-            assert asym._airy_ai_log(x) == pytest.approx(
-                math.log(ai), rel=1e-6, abs=1e-8
-            )
+            assert got == pytest.approx(math.log(ai), rel=1e-6, abs=1e-8)
 
 
 def test_params_values():
@@ -592,6 +574,18 @@ def test_sandwich_in_log_space():
             assert log_total <= log_max + 0.5 + 1e-9  # ln sqrt(e) = 0.5
 
 
+def test_theta_residuals_equal_theta_tc_max_route_exactly():
+    # the window takes n^(1/3) on Python ints, as theta_tc_max does, so each
+    # residual is ln TC_{n,n-1} - theta_tc_max(d, n) to the last bit
+    for d in (2, 3):
+        log_c = words.c_log_sequence(d, 1999)
+        res = asym.theta_residual_window(d, 500, 2000, log_c=log_c)["residuals"]
+        assert res.tolist() == [
+            words.tc_max_count_log(d, n, log_c) - asym.theta_tc_max(d, n)
+            for n in range(500, 2001)
+        ]
+
+
 def test_theta_residual_window_rejects_short_log_c():
     with pytest.raises(ValueError, match="need at least 50 "):
         asym.theta_residual_window(2, 5, 50, log_c=words.c_log_sequence(2, 10))
@@ -606,6 +600,6 @@ def test_airy_profile_of_e_row():
     p = asym.params(2)
     ms = np.arange(0, 60, 2)
     log_e = np.array([seq.log_e(4000, int(m)) for m in ms])
-    log_ai = np.array([asym._airy_ai_log(asym._airy_arg(p, 4000, int(m))) for m in ms])
+    log_ai = asym._airy_ai_log(asym._airy_arg(p, 4000, ms))
     corr = np.corrcoef(np.exp(log_e - log_e.max()), np.exp(log_ai - log_ai.max()))[0, 1]
     assert corr > 0.99

@@ -513,14 +513,16 @@ print(json.dumps([results, before, "numpy" in sys.modules]))
 
 
 def test_integer_commands_run_without_numpy():
-    # count, enumerate and verify --suite sandwich use no array, so a fresh
-    # process serves them without importing numpy; asym root then loads it
+    # count, enumerate, verify --suite sandwich and the Poisson report use no
+    # array, so a fresh process serves them without importing numpy; asym
+    # root then loads it
     goldens = [
         g for g in json.loads(GOLDENS.read_text())["commands"]
         if g["argv"][0] in ("count", "enumerate")
-        or g["argv"] == ["verify", "--suite", "sandwich"]
+        or g["argv"] in (["verify", "--suite", "sandwich"],
+                         ["dist", "--d", "2", "--n", "8", "--exploratory", "poisson"])
     ]
-    assert len(goldens) == 9
+    assert len(goldens) == 10
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE,
          json.dumps([g["argv"] for g in goldens])],
