@@ -193,29 +193,31 @@ class BTable:
         return sum(self.rows[n][1:])
 
 
-def _b_rows(d: int, guard: int | None = None) -> Iterator[tuple[list[int], int]]:
+def _b_rows(d: int, guard: int | None = None) -> Iterator[tuple[list[int], int, int]]:
     """Rows [0, b(n,1), ..., b(n,n)] of the b-table for n = 1, 2, ...
 
     Integer-only: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j), so row n
     is the prefix sums of row n-1 (with b(n-1,n) = 0) times binomials, each
     computed once: rows share the ones they both use.
 
-    Yields (row, shift).  Without a guard the rows are exact and shift is
-    0.  With a guard, once a row's last (largest) entry is longer than
-    guard bits, the row is cut back to guard bits after its products,
-    every entry rounded down, and shift counts the bits cut so far: the
-    exact row is at least row * 2**shift (_c_brackets bounds the excess).
+    Yields (row, total, shift): total = sum(row) is the last of the prefix
+    sums that the next row is built from.  Without a guard the rows are
+    exact and shift is 0.  With a guard, once a row's last (largest) entry
+    is longer than guard bits, the row is cut back to guard bits after its
+    products, every entry rounded down, and shift counts the bits cut so
+    far: the exact row is at least row * 2**shift (_c_brackets bounds the
+    excess).
     """
     row, shift = [0, 1], 0  # b(1,1) = 1
     binom, t0 = [], 0  # binom[i] = C(t0 + i, d-1)
     while True:
-        yield row, shift
+        acc = list(accumulate(row))
+        yield row, acc[-1], shift
         n = len(row)
         binom, t0 = binom[d * n - 2 - t0 :], d * n - 2
         binom.extend(map(math.comb, range(t0 + len(binom), t0 + n + 1), repeat(d - 1)))
-        row = list(accumulate(row))
-        row.append(row[-1])
-        row = list(map(operator.mul, row, binom))
+        acc.append(acc[-1])
+        row = list(map(operator.mul, acc, binom))
         cut = 0 if guard is None else row[-1].bit_length() - guard
         if cut > 0:
             row = list(map(operator.rshift, row, repeat(cut)))
@@ -226,7 +228,7 @@ def b_table_int(d: int, n_max: int) -> BTable:
     """Integer-only dynamic program: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j)."""
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 1)
-    rows = [[], *(row for row, _ in islice(_b_rows(d), n_max))]
+    rows = [[], *(row for row, *_ in islice(_b_rows(d), n_max))]
     return BTable(d=d, n_max=n_max, rows=rows)
 
 
@@ -268,8 +270,8 @@ def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
     d = _check_d(d)
     n = _check_int("n", n, 1)
-    row, _ = next(islice(_b_rows(d), n - 1, None))
-    return sum(row)
+    _, total, _ = next(islice(_b_rows(d), n - 1, None))
+    return total
 
 
 def tc_max_count(d: int, n: int) -> int:
@@ -326,7 +328,7 @@ def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
     """
     import numpy as np
     w, e, last, width = None, 0, 0, 0
-    for n, (row, shift) in enumerate(_b_rows(d, guard), start=1):
+    for n, (_, lo_sum, shift) in enumerate(_b_rows(d, guard), start=1):
         if shift:
             p = np.cumsum(w) if last else np.zeros(n - 1)
             s1 = math.comb(d * n - 1, d - 1)
@@ -340,7 +342,7 @@ def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
             w *= 1 + (n + 4) * 2.0**-50
             num, den = float(w.sum()).as_integer_ratio()
             width, last = -(-(num << e) // den), shift
-        yield sum(row), width, shift
+        yield lo_sum, width, shift
 
 
 def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:

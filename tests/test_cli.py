@@ -396,6 +396,28 @@ def test_cli_matches_goldens(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == golden["sha256"]
 
 
+def test_readme_commands_are_goldens():
+    # every command in README's command-line block is a recorded golden, and
+    # every number written after one is that golden's stdout
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    goldens = {
+        tuple(g["argv"]): g for g in json.loads(GOLDENS.read_text())["commands"]
+    }
+    values = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "treechild" and tuple(argv) in goldens, line
+        golden = goldens[tuple(argv)]
+        if comment.strip().isdigit():
+            out = f"{comment.strip()}\n".encode()
+            assert golden["exit"] == 0 and len(out) == golden["bytes"], line
+            assert hashlib.sha256(out).hexdigest() == golden["sha256"], line
+            values += 1
+    assert len(block.splitlines()) == 13 and values == 4
+
+
 @pytest.mark.parametrize(
     "suite,d",
     [("tables", "7"), ("tables", "1"), ("formulas", "1"), ("words", "1"),

@@ -294,7 +294,7 @@ def test_c_brackets_hold_the_exact_row_sums():
     for d in range(2, 7):
         for guard in (64, 128 + 300 // 2):
             brackets = words._c_brackets(d, guard)
-            for n, (row, _), (lo_sum, width, shift) in zip(
+            for n, (row, *_), (lo_sum, width, shift) in zip(
                 range(1, 301), words._b_rows(d), brackets
             ):
                 assert lo_sum << shift <= sum(row) <= (lo_sum + width) << shift, (
