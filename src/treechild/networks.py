@@ -667,16 +667,13 @@ def _tc_search(
     the stack on every edge of those trees in preorder, and _attach turns
     the pair into sorted coordinates.  The budget counts insertions.
 
-    With count_only nothing is built and the search yields one count per
-    tree choice (1 when k == 0).  It carries gap counts, gaps[a] = len(stack
-    on edge a) + 1, in place of the stacks: a multiset of stubs adds one gap
-    per stub to its edge, and feeds and reach change as in the building
-    search.  The last level walks every multiset of its S allowed gap
-    positions inside combinations_with_replacement, stopping one past what
-    the budget has left.  Every level charges the budget one insertion per
-    multiset and raises at the same total as the building search, and the
-    sum of the counts is the number of networks, still found one by one
-    and not from a formula.
+    With count_only the last level builds nothing: it walks every multiset
+    of the last reticulation's stubs inside combinations_with_replacement,
+    stopping one past what the budget has left, charges the budget one
+    insertion per multiset as the building search does, and yields how many
+    it walked, once for the whole level (1 for each tree choice when
+    k == 0).  The sum of what it yields is the number of networks, still
+    found one by one and not from a formula.
     """
     budget = _check_int("budget", budget, 0)
     fn = "enumerate_otc" if one_component else "enumerate_tc"
@@ -696,6 +693,15 @@ def _tc_search(
             for g in range(len(stacks[a]) + 1)
         ]
         name = (names[i - 1],)
+        if count_only and i == k:
+            # every multiset is a nonempty tuple, so this counts them in C
+            walk = combinations_with_replacement(slots, d)
+            walked = sum(map(bool, islice(walk, budget - built + 1)))
+            built += walked
+            if built > budget:
+                raise BudgetExceeded(exceeded)
+            yield walked
+            return
         for comb in combinations_with_replacement(slots, d):
             built += 1
             if built > budget:
@@ -711,35 +717,6 @@ def _tc_search(
                 grown = [r | reach[i] if r & fed else r for r in reach]
                 yield from grow(child, grown, i + 1)
 
-    def count(gaps: list[int], reach: list[int], i: int) -> int:
-        # grow on gap counts: the stacks' lengths are all a count needs
-        nonlocal built
-        blocked = ~1 if one_component else reach[i]
-        allowed = [a for a, j in enumerate(owner) if not blocked >> j & 1]
-        if i == k:
-            gap_positions = range(sum(gaps[a] for a in allowed))
-            walk = combinations_with_replacement(gap_positions, d)
-            # every multiset is a nonempty tuple, so this counts them in C
-            walked = sum(map(bool, islice(walk, budget - built + 1)))
-            built += walked
-            if built > budget:
-                raise BudgetExceeded(exceeded)
-            return walked
-        slots = [a for a in allowed for _ in range(gaps[a])]
-        total = 0
-        for comb in combinations_with_replacement(slots, d):
-            built += 1
-            if built > budget:
-                raise BudgetExceeded(exceeded)
-            child = gaps[:]
-            fed = 0
-            for a in comb:
-                child[a] += 1
-                fed |= 1 << owner[a]
-            grown = [r | reach[i] if r & fed else r for r in reach]
-            total += count(child, grown, i + 1)
-        return total
-
     for blocks in _set_partitions(n, k + 1):
         for r, root_block in enumerate(blocks):
             rets = blocks[:r] + blocks[r + 1:]
@@ -749,21 +726,18 @@ def _tc_search(
             components = [root_block] + rets
             owner = [j for j, b in enumerate(components) for _ in range(2 * len(b) - 1)]
             empty = [()] * len(owner)
-            ones, reach = [1] * len(owner), [1 << j for j in range(k + 1)]
             for trees in product(*map(_trees, components)):
                 if k == 0:
                     yield 1 if count_only else (trees, empty)
-                elif count_only:
-                    yield count(ones, reach, 1)
                 else:
-                    yield from grow(empty, reach, 1)
+                    yield from grow(empty, [1 << j for j in range(k + 1)], 1)
 
 
 def count_otc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_otc|, from the one-component search on gap counts, with
-    every multiset of stubs walked and none built."""
+    """|enumerate_otc|, from the one-component search with its last level
+    walked inside itertools and not built."""
     d, n, k = _check_params(d, n, k)
     return sum(_tc_search(d, n, k, budget, True, count_only=True))
 
@@ -822,8 +796,8 @@ def enumerate_tc(
 def count_tc_networks(
     d: int, n: int, k: int, budget: int = DEFAULT_NETWORK_BUDGET
 ) -> int:
-    """|enumerate_tc|, from the search on gap counts, with every multiset of
-    stubs walked and none built."""
+    """|enumerate_tc|, from the search with its last level walked inside
+    itertools and not built."""
     d, n, k = _check_params(d, n, k)
     return sum(_tc_search(d, n, k, budget, count_only=True))
 

@@ -472,14 +472,16 @@ def test_counting_path_does_the_same_work(one_component, d, n, k):
     # the counting search yields counts that add up to what the building
     # search yields, and it runs out of budget at the same insertion with
     # the same message: at every budget up to one past the insertions, or
-    # at about 15 evenly spaced ones on the general d = 2, n = 4 cells
+    # at about 15 evenly spaced ones plus 1 and the midpoint on the general
+    # d = 2, n = 4 cells
     built = coords(d, n, k, one_component)
     insertions = partial_networks(built)
     fn = "enumerate_otc" if one_component else "enumerate_tc"
     step = 1 if insertions <= 600 else insertions // 14
-    for budget in sorted(
-        {*range(0, insertions + 2, step), insertions - 1, insertions, insertions + 1}
-    ):
+    for budget in sorted({
+        0, 1, insertions // 2, *range(0, insertions + 2, step),
+        insertions - 1, insertions, insertions + 1,
+    }):
         if budget < 0:
             continue
         outcome = search_outcome(d, n, k, one_component, False, budget)
