@@ -151,12 +151,10 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     d = args.d if args.d is not None else 2
     if suite == "tables":
-        n_max = 4 if d in (2, 3) else 3
         ok, report = _suite({"d": d}, criteria.tcmax_rows(d),
-                            criteria.tc_oracle(d, n_max, args.budget))
+                            criteria.tc_oracle(d, args.budget))
     elif suite == "formulas":
-        n_max = 4 if d <= 3 else 3
-        ok, report = _suite({"d": d}, criteria.otc_formula(d, n_max, args.budget))
+        ok, report = _suite({"d": d}, criteria.otc_formula(d, args.budget))
     elif suite == "words":
         ok, report = _suite({"d": d}, criteria.word_oracle(d, args.budget),
                             criteria.dual_recurrence(d))

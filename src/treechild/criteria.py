@@ -4,7 +4,8 @@ Every function returns ``(ok, details)`` with JSON-ready details; integers
 at or beyond 2^53 in them are decimal strings.  Suite-style checks give a
 list of entries ``{"check", <cell>, ..., "ok"}``.  ``treechild verify``
 composes its suites from these functions and the acceptance tests assert
-them, so each tolerance is written here and nowhere else.
+them, so each tolerance and each range of cells is written here and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ def tcmax_rows(d: int) -> tuple[bool, list[dict]]:
     ))
 
 
-def tc_oracle(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
-    """Criterion 2: brute force gives every reference cell with 2 <= n <= n_max."""
-    d = exact._check_d(d)
-    n_max = exact._check_int("n_max", n_max, 2)
-    budget = exact._check_int("budget", budget, 0)
-    table = exact.appendix_table(d)
+def tc_oracle(d: int, budget: int) -> tuple[bool, list[dict]]:
+    """Criterion 2: brute force gives every reference cell with n <= 4 at
+    d = 2 and 3 and with n <= 3 at d >= 4: 33 cells over d = 2..6."""
+    table = exact.appendix_table(d)  # refuses a d with no reference table
+    n_max = 4 if table.d <= 3 else 3
     return _match("brute_force", "fixture", (
         ({"n": n, "k": k}, nw.count_tc_networks(d, n, k, budget=budget),
          table[(n, k)])
@@ -56,12 +56,13 @@ def tc_oracle(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
     ))
 
 
-def otc_formula(d: int, n_max: int, budget: int) -> tuple[bool, list[dict]]:
+def otc_formula(d: int, budget: int) -> tuple[bool, list[dict]]:
     """Criterion 3: the one-component generator matches the closed formula
-    for n <= n_max, and the formula obeys its step recurrence for n < 40."""
+    for n <= 5 at d = 2 and 3, n <= 4 at d = 4 and 5 (50 cells over
+    d = 2..5) and n <= 3 at d >= 6, and the formula obeys its step
+    recurrence for n < 40."""
     d = exact._check_d(d)
-    n_max = exact._check_int("n_max", n_max, 1)
-    budget = exact._check_int("budget", budget, 0)
+    n_max = 5 if d <= 3 else 4 if d <= 5 else 3
     ok, entries = _match("otc_oracle", "formula", (
         ({"n": n, "k": k}, nw.count_otc_networks(d, n, k, budget=budget),
          exact.otc_count(d, n, k))
@@ -88,7 +89,6 @@ def word_oracle(d: int, budget: int) -> tuple[bool, list[dict]]:
         raise ValueError(
             f"multiplicity d must be <= 13 for words of length at most 14, got {d}"
         )
-    budget = exact._check_int("budget", budget, 0)
     entries = []
     n = 1
     while n * (d + 1) <= 14:

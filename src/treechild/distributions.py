@@ -179,10 +179,7 @@ def conjecture_poisson_report(table: CountTable, n: int | None = None) -> dict:
     """
     if table.d != 2:
         raise ValueError("the Poisson conjecture concerns d = 2")
-    rows_n = table.n_values
-    n = rows_n[-1] if n is None else _check_int("leaf count n", n)
-    if n not in rows_n:
-        raise ValueError(f"the table has rows {rows_n[0]}..{rows_n[-1]}, got n={n}")
+    n = table.n_values[-1] if n is None else _check_int("leaf count n", n)
     row = table.row(n)
     total = sum(row)
     rows = []

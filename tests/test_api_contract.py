@@ -146,12 +146,8 @@ CONTRACT = {
         {"table": _table2, "n": 3, "budget": 10**6}, {"n": 1, "budget": 0},
     ),
     "criteria.tcmax_rows": ({"d": 2}, {"d": 2}),
-    "criteria.tc_oracle": (
-        {"d": 2, "n_max": 3, "budget": 10**6}, {"d": 2, "n_max": 2, "budget": 0},
-    ),
-    "criteria.otc_formula": (
-        {"d": 2, "n_max": 3, "budget": 10**6}, {"d": 2, "n_max": 1, "budget": 0},
-    ),
+    "criteria.tc_oracle": ({"d": 2, "budget": 10**6}, {"d": 2, "budget": 0}),
+    "criteria.otc_formula": ({"d": 2, "budget": 10**6}, {"d": 2, "budget": 0}),
     "criteria.word_oracle": ({"d": 4, "budget": 10**6}, {"d": 2, "budget": 0}),
     "criteria.dual_recurrence": ({"d": 2}, {"d": 2}),
     "criteria.otc_total": ({"d": 3}, {"d": 2}),

@@ -164,6 +164,21 @@ def test_verify_asym_suite_runs_theta_for_d2(capsys):
     assert checks[:2] == ["airy_root", "theta_residual"]
 
 
+@pytest.mark.parametrize("d,formula_entries",
+                         [(2, 16), (3, 16), (4, 11), (5, 11), (6, 7)])
+def test_verify_tables_and_formulas_run_the_criterion_cells(capsys, d,
+                                                            formula_entries):
+    # the suites take their cells from criteria 2 and 3, not a range of their own
+    budget = nw.DEFAULT_NETWORK_BUDGET
+    tables = criteria.tcmax_rows(d)[1] + criteria.tc_oracle(d, budget)[1]
+    formulas = criteria.otc_formula(d, budget)[1]
+    for suite, entries in (("tables", tables), ("formulas", formulas)):
+        code, out = run(capsys, "verify", "--suite", suite, "--d", str(d))
+        assert code == 0
+        assert json.loads(out)["result"]["entries"] == entries
+    assert len(formulas) == formula_entries
+
+
 def test_asym_commands(capsys):
     code, out = run(capsys, "asym", "root")
     assert code == 0
