@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -177,3 +178,28 @@ def test_otc_count_log_matches_exact():
     assert exact.otc_total_log(3, 50) == pytest.approx(
         math.log(exact.otc_total(3, 50)), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("d,tc_n_max,otc_n_max",
+                         [(2, 4, 5), (3, 4, 5), (4, 3, 4), (5, 3, 4), (6, 3, 3)])
+def test_criteria_2_and_3_check_every_n_of_their_range(d, tc_n_max, otc_n_max):
+    # every k of every n in the range, so the cells of a row never go missing
+    tc = criteria.tc_oracle(d, 10**9)[1]
+    otc = [e for e in criteria.otc_formula(d, 10**8)[1] if e["check"] == "otc_oracle"]
+    assert [(e["n"], e["k"]) for e in tc] == [
+        (n, k) for n in range(2, tc_n_max + 1) for k in range(n)]
+    assert [(e["n"], e["k"]) for e in otc] == [
+        (n, k) for n in range(1, otc_n_max + 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("check", [criteria.tc_oracle, criteria.otc_formula],
+                         ids=["tc_oracle", "otc_formula"])
+def test_criteria_2_and_3_take_no_range_of_their_own(check):
+    assert list(inspect.signature(check).parameters) == ["d", "budget"]
+    with pytest.raises(TypeError, match="n_max"):
+        check(2, 10**6, n_max=3)
+
+
+def test_criterion_2_refuses_a_d_without_a_reference_table():
+    with pytest.raises(ValueError, match=r"^no reference table for d=7$"):
+        criteria.tc_oracle(7, 10**6)
