@@ -15,6 +15,7 @@ super-solution inequalities.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, field
@@ -56,6 +57,18 @@ def _asymptotic_terms() -> tuple[float, ...]:
 _ASYMPTOTIC_TERMS = _asymptotic_terms()
 
 
+def _each(fn, a: np.ndarray, *rest: float) -> np.ndarray:
+    """fn(v, *rest) on each entry v of a, as Python floats.
+
+    The Airy rows and the sweeps take pow, exp and log from math this way,
+    and every swept value is pinned to the libm result: with numpy 2.4.6 on
+    an AVX-512 x86-64 CPU, np.power(x, 1.5) differs from libm on 52,582 of
+    10^6 uniform x in [6, 120], np.log on 150 of them, and np.exp on 46,261
+    of 10^6 uniform x in [-700, 0].
+    """
+    return np.fromiter(map(fn, a.tolist(), *map(itertools.repeat, rest)), float, len(a))
+
+
 def _maclaurin(x, c1, c2, rel, floor):
     """c1 f(x) - c2 g(x) for the Maclaurin pair of Ai, x a float or a float array.
 
@@ -81,25 +94,29 @@ def _maclaurin(x, c1, c2, rel, floor):
     return c1 * f - c2 * g
 
 
-def _airy_asymptotic_log(x: float) -> float:
-    """ln Ai(x) for x > 6 from the standard asymptotic expansion.
+def _airy_asymptotic_log(x: np.ndarray) -> np.ndarray:
+    """ln Ai of each entry of x, all > 6, from the standard asymptotic expansion.
 
-    The sum is cut adaptively at its smallest term, so its error is
-    ~e^(-2*zeta), negligible at the crossover from the series.
+    Each entry's sum is cut adaptively at its smallest term, so its error is
+    ~e^(-2*zeta), negligible at the crossover from the series.  Term k is
+    u_k / zeta^k with zeta^k from libm's pow; an entry leaves the live set
+    at its own stop, so each sum is bit-identical to the loop on that entry
+    alone.
     """
-    zeta = (2.0 / 3.0) * x ** 1.5
-    s = 1.0
-    prev = math.inf
+    zeta = (2.0 / 3.0) * _each(math.pow, x, 1.5)
+    s = np.ones(len(x))
+    live, z, prev = np.arange(len(x)), zeta, np.full(len(x), math.inf)
     for k, term in enumerate(_ASYMPTOTIC_TERMS, 1):
-        contrib = term / zeta**k
-        if contrib >= prev or contrib < 1e-18:
+        contrib = term / _each(math.pow, z, float(k))
+        go = (contrib < prev) & (contrib >= 1e-18)
+        if not go.any():
             break
+        live, z, prev = live[go], z[go], contrib[go]
         if k % 2:
-            s -= contrib
+            s[live] -= prev
         else:
-            s += contrib
-        prev = contrib
-    return -zeta - 0.25 * math.log(x) - _LOG_2SQRTPI + math.log(s)
+            s[live] += prev
+    return -zeta - 0.25 * _each(math.log, x) - _LOG_2SQRTPI + _each(math.log, s)
 
 
 def airy_ai(x: float) -> float:
@@ -115,24 +132,20 @@ def airy_ai(x: float) -> float:
     if abs(x) > _AIRY_WINDOW:
         raise ValueError(f"airy_ai series window is |x| <= {_AIRY_WINDOW}, got {x}")
     if x > _SERIES_LOG_CUTOFF:
-        return math.exp(_airy_asymptotic_log(x))
+        return math.exp(_airy_asymptotic_log(np.array([x], dtype=float))[0])
     return float(_maclaurin(x, _AI0, _AIP0, 1e-19, 1e-300))
 
 
-def _each(fn, a: np.ndarray) -> np.ndarray:
-    """fn on each entry of a, as Python floats.  The sweeps take exp and
-    log from math this way: numpy's own round differently from libm on
-    some inputs, and every swept value is pinned to the libm result."""
-    return np.fromiter(map(fn, a.tolist()), float, len(a))
-
-
 def _airy_ai_log(x: np.ndarray) -> np.ndarray:
-    """ln Ai of each entry of x, for x > a1 (where Ai is positive), any
-    magnitude; -inf where the float series is at or below zero.
+    """ln Ai of each entry of x, for x > a1 (where Ai is positive) up to
+    about 1e205, above which zeta overflows and math.pow raises
+    OverflowError; -inf where the float series is at or below zero.
 
     Entries up to the cutoff run through _maclaurin as one array, where the
-    exponential cancellation stays below ~1e-9 relative; the asymptotic
-    ones, bound by pow rather than by the interpreter, go one at a time.
+    exponential cancellation stays below ~1e-9 relative, and the others
+    through _airy_asymptotic_log as another.  Each entry stops where the
+    loop on it alone would, so the value of an entry does not depend on
+    the rest of the array.
     """
     out = np.empty(len(x))
     series = x <= _SERIES_LOG_CUTOFF
@@ -141,7 +154,7 @@ def _airy_ai_log(x: np.ndarray) -> np.ndarray:
     v[positive] = _each(math.log, v[positive])
     v[~positive] = -math.inf
     out[series] = v
-    out[~series] = _each(_airy_asymptotic_log, x[~series])
+    out[~series] = _airy_asymptotic_log(x[~series])
     return out
 
 
@@ -224,8 +237,9 @@ def nu(d: int, n: int, m):
     """Coefficient of e_{n-1,m-1}; m may be an int or an array of integers."""
     out = 1.0
     try:
+        den = (d + 1) * (n + m)
         for i in range(2, d + 1):
-            out *= 1.0 - 2.0 * (m + i) / ((d + 1) * (n + m))
+            out *= 1.0 - 2.0 * (m + i) / den
     except ZeroDivisionError:
         raise ZeroDivisionError(f"nu pole at d={d}, n={n}, m={m}") from None
     return out
@@ -271,30 +285,51 @@ def e_sequence(d: int, n_max: int, keep_m: int = 64) -> ESequence:
     Each row is rescaled to maximum 1 and held only up to its last entry
     that is a normal double, but never below index keep_m + 1: arithmetic
     on the subnormal tail runs tens of times slower, and the tests hold the
-    stored entries bit-identical to a full-width run.
+    stored entries bit-identical to a full-width run that calls mu and nu.
+    Here each row takes mu and nu in the same operations from slices of
+    arrays built once, and the stored heads of all rows go through one log.
     """
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 3)
     keep_m = _check_int("keep_m", keep_m, 0)
     keep = min(keep_m, n_max)
-    log_rows = np.full((n_max + 1, keep + 1), -np.inf)
+    # the first keep + 1 entries of each rescaled row, and the log of its scale
+    heads = np.zeros((n_max + 1, keep + 1))
+    log_scale = np.zeros(n_max + 1)
+    heads[2, 0] = 1.0
     tiny = np.finfo(float).tiny
+    # the parts of mu and nu that do not depend on n, built once as
+    # integer-valued floats, which are exact: (d-1)m, 2(m+i) for each i
+    # and (d+1)m
+    m = np.arange(n_max + 2, dtype=float)
+    mu_m = (d - 1) * m
+    nu_num = [2.0 * (m + i) for i in range(2, d + 1)]
+    nu_m = (d + 1) * m
     work = np.ones(1)  # e_{2,0} = 1; the Theta-constant absorbs the true scale
-    log_scale = 0.0
-    log_rows[2, 0] = 0.0
     for n in range(3, n_max + 1):
         width = len(work)
-        new = np.zeros(width + 1)
-        new[: width - 1] = mu(d, n, np.arange(0, width - 1)) * work[1:]
-        new[1:] += nu(d, n, np.arange(1, width + 1)) * work
+        new = np.empty(width + 1)
+        # mu(d, n, m) e_{n-1,m+1} for m = 0..width-2
+        coeff = 1.0 + 2.0 * (d - 1) / (mu_m[: width - 1] + (d + 1) * (n - 2))
+        np.multiply(coeff, work[1:], out=new[: width - 1])
+        new[width - 1 :] = 0.0
+        # nu(d, n, m) e_{n-1,m-1} for m = 1..width
+        den = nu_m[1 : width + 1] + (d + 1) * n
+        coeff = 1.0 - nu_num[0][1 : width + 1] / den
+        for num in nu_num[1:]:
+            coeff *= 1.0 - num[1 : width + 1] / den
+        coeff *= work
+        new[1:] += coeff
         top = new.max()
         new /= top
-        log_scale += math.log(top)
+        log_scale[n] = log_scale[n - 1] + math.log(top)
         last = np.flatnonzero(new >= tiny)[-1]
         work = new[: max(last, keep + 1) + 1]
         lim = min(keep, len(work) - 1)
-        with np.errstate(divide="ignore"):
-            log_rows[n, : lim + 1] = np.log(work[: lim + 1]) + log_scale
+        heads[n, : lim + 1] = work[: lim + 1]
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(heads, out=heads)
+    log_rows += log_scale[:, None]
     return ESequence(d=d, n_max=n_max, keep_m=keep, log_rows=log_rows)
 
 
@@ -541,6 +576,11 @@ def default_prop_n_values() -> list[int]:
     return list(range(200, 1001, 50)) + list(range(1250, 5001, 250))
 
 
+# most entries per _airy_ai_log call of _airy_rows: a whole default table
+# in one array costs ~2 MB more peak memory than groups of this size
+_AIRY_GROUP = 4096
+
+
 @functools.lru_cache(maxsize=2)
 def _airy_rows(
     d: int, n_values: tuple[int, ...], m_exponent: float
@@ -548,20 +588,36 @@ def _airy_rows(
     """Per n, ln Ai at row n for m = 0..m_cap-1 and at row n-1 for
     m = -1..m_cap, where m_cap = int(n^m_exponent), as read-only arrays.
 
-    Each row is evaluated as one array through _airy_ai_log.  The rows
-    depend on (d, n, m) only, not on the prefactor coefficient, so a sweep
-    over several coefficients at one d evaluates them once; two entries
-    hold the sub- and the super-solution tables of the latest d.
+    Consecutive rows are evaluated together, one _airy_ai_log call per group
+    of at most _AIRY_GROUP entries (a longer row alone), and split back.
+    The rows depend on (d, n, m) only, not on the prefactor coefficient, so
+    a sweep over several coefficients at one d evaluates them once; two
+    entries hold the sub- and the super-solution tables of the latest d.
     """
     p = params(d)
-    rows = []
+    flat: list[np.ndarray] = []  # here and prev of each n in turn
+    group: list[np.ndarray] = []
+    size = 0
     for n in n_values:
         m_cap = int(n**m_exponent)
-        here = _airy_ai_log(_airy_arg(p, n, np.arange(m_cap)))
-        prev = _airy_ai_log(_airy_arg(p, n - 1, np.arange(-1, m_cap + 1)))
-        here.flags.writeable = prev.flags.writeable = False
-        rows.append((here, prev))
-    return tuple(rows)
+        for arg in (_airy_arg(p, n, np.arange(m_cap)),
+                    _airy_arg(p, n - 1, np.arange(-1, m_cap + 1))):
+            if group and size + len(arg) > _AIRY_GROUP:
+                flat += _airy_ai_log_split(group)
+                group, size = [], 0
+            group.append(arg)
+            size += len(arg)
+    if group:
+        flat += _airy_ai_log_split(group)
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+def _airy_ai_log_split(parts: list[np.ndarray]) -> list[np.ndarray]:
+    """_airy_ai_log of each array of parts, from one call on all of them,
+    as read-only views."""
+    values = _airy_ai_log(np.concatenate(parts))
+    values.flags.writeable = False
+    return np.split(values, np.cumsum([len(a) for a in parts[:-1]]))
 
 
 def _prop_sweep(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -131,6 +132,76 @@ def test_airy_log_array_matches_reference_bit_for_bit():
     assert got[3] == got[4] == got[5] == -math.inf
 
 
+def test_airy_log_of_joined_parts_equals_the_joined_logs_bit_for_bit():
+    # the sweep tables evaluate many rows in one call: no entry may depend
+    # on the others, whatever mix of series (<= 6), asymptotic (> 6) and
+    # below-a1 (-inf) entries shares its call
+    a1 = asym.airy_root_a1()
+    rng = random.Random(23)
+    parts = [
+        np.array([rng.uniform(a1, 6.0) for _ in range(300)]),
+        np.array([rng.uniform(6.0, 200.0) for _ in range(300)] + [6.0]),
+        np.array([], dtype=float),
+        np.array([math.nextafter(a1, -math.inf), a1 - 0.5, -3.3, 7.0, 0.0, 500.0]),
+        np.array([rng.uniform(-3.0, 12.0) for _ in range(500)]),
+        np.array([], dtype=float),
+    ]
+    joined = asym._airy_ai_log(np.concatenate(parts))
+    each = [asym._airy_ai_log(part) for part in parts]
+    assert [len(v) for v in each] == [len(part) for part in parts]
+    assert joined.tobytes() == np.concatenate(each).tobytes()
+    assert np.isneginf(each[3][:3]).all() and np.isfinite(each[3][3:]).all()
+    # the scalar Ai above the cutoff goes through the same array expansion
+    xs = [math.nextafter(6.0, math.inf), 8.0] + [rng.uniform(6.0, 8.0) for _ in range(500)]
+    for x in xs:
+        assert asym.airy_ai(x) == math.exp(reference_airy_asymptotic(x)), x
+
+
+def test_airy_rows_groups_split_back_into_the_rows(monkeypatch):
+    # groups far smaller than the rows: a row longer than a group is
+    # evaluated alone, and every row equals its own _airy_ai_log call
+    monkeypatch.setattr(asym, "_AIRY_GROUP", 40)
+    asym._airy_rows.cache_clear()
+    p = asym.params(4)
+    n_values = (3, 4, 30, 200, 31, 1000)
+    try:
+        rows = asym._airy_rows(4, n_values, 0.9)
+    finally:
+        asym._airy_rows.cache_clear()
+    assert len(rows) == len(n_values)
+    for n, (here, prev) in zip(n_values, rows):
+        m_cap = int(n**0.9)
+        assert here.tobytes() == asym._airy_ai_log(
+            asym._airy_arg(p, n, np.arange(m_cap))).tobytes()
+        assert prev.tobytes() == asym._airy_ai_log(
+            asym._airy_arg(p, n - 1, np.arange(-1, m_cap + 1))).tobytes()
+        assert not here.flags.writeable and not prev.flags.writeable
+
+
+# sha256 of the concatenated bytes of every (here, prev) row of _airy_rows at
+# default_prop_n_values(), recorded before the rows were evaluated in groups
+AIRY_ROWS_SHA256 = {
+    (0.9, 2): "c7177988b533a3ff2633dceede8bb0ca95d91aecd28fcb82388470056b839253",
+    (0.9, 3): "89641adefe672add9bcf987d423de573fa460db9ddf73cc365f404f09a63eba2",
+    (0.9, 4): "bd6f967b9b2972f1d6298a68f90632793f62e5e60b951c350b9b59680cf67152",
+    (0.9, 5): "8a3732d4c980aaec78ad2fcb149620f137493463059939bb801208a49736c8a4",
+    (0.9, 6): "c13ef8b9e489ccd39a19990a011b2821aa30e937d161114ed77fbdce1edb8286",
+    (2.0 / 3.0 - 0.1, 2): "e7ab40c4a97b496f58ba91b686afe69fa6875d95fc80eabf97c36651e4b69e0f",
+    (2.0 / 3.0 - 0.1, 3): "f84909d34618fc49243b1e2fde13fc6f3c6072ca4a9c8f09560d5ab3ffae7006",
+    (2.0 / 3.0 - 0.1, 4): "82c0e8a8ed8e2604ff8655ff75e55396e78741476571f094633ce27da6bf4d39",
+    (2.0 / 3.0 - 0.1, 5): "2e681b2b162e05be5d0686b66dc1aaacbd7a530254e5927ba587bdfc81baadc4",
+    (2.0 / 3.0 - 0.1, 6): "d1d6b7bb72a07e8ecd065b553f5ce489a79ba74715cf9ced658695a5aa0d432c",
+}
+
+
+@pytest.mark.parametrize("m_exponent, d", sorted(AIRY_ROWS_SHA256))
+def test_airy_rows_of_the_default_sweeps_are_pinned(m_exponent, d):
+    # the exponents of check_supersolution and check_subsolution at eps = 0.1
+    rows = asym._airy_rows(d, tuple(asym.default_prop_n_values()), m_exponent)
+    got = hashlib.sha256(b"".join(a.tobytes() for row in rows for a in row))
+    assert got.hexdigest() == AIRY_ROWS_SHA256[m_exponent, d]
+
+
 def test_maclaurin_array_stops_each_entry_where_the_scalar_loop_stops():
     # at a loose tolerance the next term still moves f, so an entry that
     # kept adding after its own stop would differ from the scalar loop
@@ -182,8 +253,9 @@ def test_mu_nu():
 
 
 def test_mu_nu_on_arrays_equal_scalar_calls():
-    # e_sequence evaluates its rows through the same mu and nu on integer
-    # arrays, the sweeps on integer-valued float arrays
+    # the sweeps evaluate mu and nu on integer-valued float arrays;
+    # e_sequence takes them inline, and test_e_sequence_matches_full_width_rows
+    # holds it to these functions on integer arrays
     for d in range(2, 7):
         for n in (3, 4, 17, 399):
             for m in (np.arange(0, n + 1), np.arange(0, n + 1, dtype=float)):
@@ -264,6 +336,21 @@ def test_e_sequence_matches_full_width_rows(d, n_max, keep_m):
     assert np.array_equal(
         seq.log_rows, _e_log_rows_full_width(d, n_max, keep_m)
     )
+
+
+# sha256 of e_sequence(d, 10000, keep_m=4).log_rows, the run of criterion 10
+# and of the benchmark, recorded before e_sequence built its coefficients once
+E_ROWS_SHA256 = {
+    2: "cd2923509c7e11bff536e76b4e5bf21ef64d48f7b960c62d620db9f09618d5e2",
+    3: "d780821bf881ab50e220d5b67f90c3e8ea683b13a80c337281fe9c4718e45c70",
+}
+
+
+@pytest.mark.parametrize("d", sorted(E_ROWS_SHA256))
+def test_e_sequence_of_criterion_10_is_pinned(d):
+    rows = asym.e_sequence(d, 10000, keep_m=4).log_rows
+    assert rows.shape == (10001, 5) and rows.dtype == np.float64
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == E_ROWS_SHA256[d]
 
 
 @pytest.mark.parametrize("d", [2, 3])
