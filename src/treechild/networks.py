@@ -19,10 +19,12 @@ smallest label of its block.  A network is therefore a split of 1..n into
 blocks with one root block, a tree per block, and the stacks, with an
 acyclic component graph; the enumerators generate exactly this data, each
 network once, by inserting the reticulations in name order into the
-components that their own component cannot reach.  One-component networks
-are the case where every reticulation's block is one leaf and every stub
-sits in the root component; the nested tuples of their root component are
-their canonical key.  Every other tree-child network is keyed by its nodes
+components that their own component cannot reach, and each reticulation's
+component carries its name.  One-component networks are the case where
+every reticulation's block is one leaf and every stub sits in the root
+component, so they are coordinates that list no component beyond the
+root's; the nested tuples of their root component are their canonical
+key.  Every other tree-child network is keyed by its nodes
 sorted by role and by mu, the vector of path counts to each leaf label: two
 nodes of a tree-child network share mu only as the root or a reticulation
 and its single child, which differ in role (Cardona, Rossello and Valiente,
@@ -264,12 +266,14 @@ def _candidate_edges(
 #                               edge, top to bottom
 # coord = the edge above one component's tree.
 #
-# A network's coordinates are the root component's coord followed by each
-# reticulation's, in name order.  Reticulations are named by the smallest
-# leaf label of their component, so the coordinates determine the network up
-# to label-preserving isomorphism, and sorted tuples make them canonical.
-# For a one-component network every reticulation's coord is a bare leaf, so
-# the root coord alone is its canonical coordinate.
+# A network's coordinates are (root coord, ((name, coord), ...)): the root
+# component's coord, then each listed reticulation's name and coord, in name
+# order.  Reticulations are named by the smallest leaf label of their
+# component, so the coordinates determine the network up to label-preserving
+# isomorphism, and sorted tuples make them canonical.  A reticulation met in
+# a stack with no listed component has a bare leaf labelled with its name as
+# its component, so a one-component network's coordinates are
+# (root coord, ()) and the root coord alone is its canonical coordinate.
 #
 # The generator's trees are bare nodes, (0, label) | (1, a, b), with no
 # stacks and children in the order they were built; _attach adds the stacks
@@ -277,24 +281,6 @@ def _candidate_edges(
 # ---------------------------------------------------------------------------
 
 Coord = tuple
-
-
-def _coord_labels(coord: Coord) -> tuple[set[int], set[int]]:
-    """(leaf labels, reticulation names) of one component coord."""
-    leaves: set[int] = set()
-    rets: set[int] = set()
-
-    def walk(edge):
-        stack, node = edge
-        rets.update(stack)
-        if node[0] == 0:
-            leaves.add(node[1])
-        else:
-            walk(node[1])
-            walk(node[2])
-
-    walk(coord)
-    return leaves, rets
 
 
 def _trees(labels: list[int]):
@@ -322,11 +308,14 @@ def _hang(node, leaf):
             yield (1, a, x)
 
 
-def _attach(trees: tuple, stacks: list[tuple[int, ...]]) -> tuple:
+def _attach(trees: tuple, stacks: list[tuple[int, ...]], names: list[int]) -> tuple:
     """Coordinates of bare-node trees whose edges, in preorder, carry stacks.
 
-    The children of every branching node are sorted here, so the result is
-    canonical whatever order the trees were built in.
+    trees holds the root component's tree and then the tree of each
+    reticulation in names, which ascend; the result is
+    (root edge, ((name, edge), ...)).  The children of every branching node
+    are sorted here, so the result is canonical whatever order the trees
+    were built in.
     """
     it = iter(stacks)
 
@@ -339,17 +328,21 @@ def _attach(trees: tuple, stacks: list[tuple[int, ...]]) -> tuple:
             node = (1, ea, eb)
         return (stack, node)
 
-    return tuple(walk(tree) for tree in trees)
+    root_edge, *edges = map(walk, trees)
+    return root_edge, tuple(zip(names, edges))
 
 
 def _coord_to_network(coord, d: int) -> PhyloNetwork:
     """Expand network coordinates back into an explicit node/edge network.
 
-    coord is (root edge, reticulation edges...) as yielded by _tc_search.
-    The root component is walked first, then each reticulation's component
-    in name order; a reticulation node is numbered where it is first met.
+    coord is (root edge, ((name, edge), ...)) as _attach builds it.  The
+    root component is walked first, then each listed component under its
+    reticulation, in name order; a reticulation node is numbered where it
+    is first met.  Last, every reticulation met in a stack with no listed
+    component gets a bare leaf labelled with its name, in name order, so
+    (root edge, ()) builds the one-component network of that root edge.
     """
-    root_edge, *components = coord
+    root_edge, components = coord
     roles: list[str] = [ROOT]
     edges: list[tuple[int, int]] = []
     leaf_label_pairs: list[tuple[int, int]] = []
@@ -383,8 +376,10 @@ def _coord_to_network(coord, d: int) -> PhyloNetwork:
             walk(node[2], v)
 
     walk(root_edge, 0)
-    for edge in components:
-        walk(edge, ret_of(min(_coord_labels(edge)[0])))
+    for name, edge in components:
+        walk(edge, ret_of(name))
+    for name in sorted(ret_node.keys() - dict(components).keys()):
+        walk(((), (0, name)), ret_node[name])
     return PhyloNetwork(
         d=d,
         roles=tuple(roles),
@@ -396,13 +391,9 @@ def _coord_to_network(coord, d: int) -> PhyloNetwork:
 def _network_to_coord(net: PhyloNetwork, children: list[list[int]]) -> Coord:
     """Decompose a network whose reticulations all lead to leaves."""
     labels = net.labels
-    ret_label = {}
-    for i, role in enumerate(net.roles):
-        if role == RET:
-            child = children[i][0]
-            if net.roles[child] != LEAF:
-                raise ValueError("network is not one-component")
-            ret_label[i] = labels[child]
+    ret_label = {
+        i: labels[children[i][0]] for i, role in enumerate(net.roles) if role == RET
+    }
 
     def ret_child_of(u: int) -> int | None:
         for c in children[u]:
@@ -489,12 +480,6 @@ def _oc_key(root_edge: Coord) -> bytes:
     return b"oc|" + repr(root_edge).encode()
 
 
-def _oc_network(root_edge: Coord, d: int) -> PhyloNetwork:
-    """The canonical form of the one-component network with this root coord."""
-    rets = sorted(_coord_labels(root_edge)[1])
-    return _coord_to_network((root_edge, *(((), (0, name)) for name in rets)), d)
-
-
 def _canonical(
     net: PhyloNetwork, children: list[list[int]]
 ) -> tuple[bytes, PhyloNetwork]:
@@ -508,7 +493,7 @@ def _canonical(
     """
     if _rets_lead_to_leaves(net, children):
         root_edge = _network_to_coord(net, children)
-        return _oc_key(root_edge), _oc_network(root_edge, net.d)
+        return _oc_key(root_edge), _coord_to_network((root_edge, ()), net.d)
     form = _renumbered_by_mu(net, children)
     roles = ",".join(form.roles)
     key = f"tc|{form.d}|{roles}|{list(form.edges)}|{list(form.leaf_labels)}"
@@ -649,7 +634,7 @@ def _tc_search(
     d: int, n: int, k: int, budget: int, one_component: bool = False,
     count_only: bool = False,
 ):
-    """Yield every tree-child network once, depth-first, as (trees, stacks).
+    """Yield every tree-child network once, depth-first, as (trees, stacks, names).
 
     A network is its tree components: the leaf labels split into k+1
     blocks, one of them the root block, each block carrying a phylogenetic
@@ -664,8 +649,9 @@ def _tc_search(
 
     trees holds the tree of each component as a bare node from _trees, the
     root block first and then the reticulations in name order; stacks holds
-    the stack on every edge of those trees in preorder, and _attach turns
-    the pair into sorted coordinates.  The budget counts insertions.
+    the stack on every edge of those trees in preorder; names holds the
+    reticulation names in ascending order, and _attach turns the three into
+    sorted coordinates.  The budget counts insertions.
 
     With count_only the last level builds nothing: it walks every multiset
     of the last reticulation's stubs inside combinations_with_replacement,
@@ -712,7 +698,7 @@ def _tc_search(
                 child[a] = child[a][:g] + name + child[a][g:]
                 fed |= 1 << owner[a]
             if i == k:
-                yield trees, child
+                yield trees, child, names
             else:
                 grown = [r | reach[i] if r & fed else r for r in reach]
                 yield from grow(child, grown, i + 1)
@@ -728,7 +714,7 @@ def _tc_search(
             empty = [()] * len(owner)
             for trees in product(*map(_trees, components)):
                 if k == 0:
-                    yield 1 if count_only else (trees, empty)
+                    yield 1 if count_only else (trees, empty, names)
                 else:
                     yield from grow(empty, [1 << j for j in range(k + 1)], 1)
 
@@ -773,8 +759,8 @@ class _OneComponentNetworks(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [_oc_network(e, self._d) for e in self._root_edges[i]]
-        return _oc_network(self._root_edges[i], self._d)
+            return [_coord_to_network((e, ()), self._d) for e in self._root_edges[i]]
+        return _coord_to_network((self._root_edges[i], ()), self._d)
 
 
 def enumerate_tc(

@@ -46,6 +46,20 @@ def test_enumerate_words(capsys):
     assert (code, out) == (0, "25\n")
 
 
+def test_enumerate_words_json(capsys):
+    code, out = run(capsys, "enumerate", "words", "--d", "2", "--n", "2",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "enumerate",
+        "params": {"what": "words", "d": 2, "n": 2},
+        "result": {"count": 7, "words": [
+            "111222", "112122", "112212", "121122", "121212", "211122", "211212",
+        ]},
+        "version": __version__,
+    }
+
+
 def test_enumerate_networks(capsys):
     code, out = run(capsys, "enumerate", "networks", "--d", "2", "--n", "3",
                     "--k", "2", "--format", "count")

@@ -65,6 +65,14 @@ def test_validate_rejects_in1_out1_node():
     assert witness[0] == 1  # the offending node
 
 
+def test_validate_reports_unknown_role():
+    net = nw.PhyloNetwork(
+        d=2, roles=(nw.ROOT, "stub"), edges=((0, 1),), leaf_labels=(),
+    )
+    report = nw.validate(net)
+    assert ("role_degrees", False, (1, "stub")) in report.checks
+
+
 def test_validate_rejects_parallel_edges_and_cycles():
     net = nw.PhyloNetwork(
         d=2,
@@ -165,6 +173,23 @@ def test_otc_insertion_rejects_bad_positions():
     )
     with pytest.raises(ValueError):
         nw.otc_insertion(net, [ret_edge, ret_edge], 1)
+
+
+def test_otc_insertion_refuses_other_inputs():
+    two_leaf_block = next(
+        net for net in nw.enumerate_tc(2, 3, 1) if not nw.is_one_component(net)
+    )
+    edge = nw.candidate_edges(two_leaf_block)[0]
+    with pytest.raises(ValueError, match="^otc_insertion expects a one-component"):
+        nw.otc_insertion(two_leaf_block, [edge, edge], 1)
+    net = nw.enumerate_otc(2, 3, 1)[0]
+    edge = nw.candidate_edges(net)[0]
+    for positions in ([edge], [edge] * 3):
+        with pytest.raises(ValueError, match=r"^need exactly d=2 positions$"):
+            nw.otc_insertion(net, positions, 1)
+    for label in (0, 5):
+        with pytest.raises(ValueError, match=rf"^label {label} outside 1\.\.4$"):
+            nw.otc_insertion(net, [edge, edge], label)
 
 
 def test_otc_insertion_multiplicity_law():
@@ -380,6 +405,24 @@ def test_tc_generator_builds_each_network_once(d, n, k):
         assert len(set(audit)) == net.num_nodes
 
 
+# the criterion-3 cells with n <= 4 but d = 4 and 5 at n = 4, which hold
+# 158,355 and 3,128,343 coordinates: too many to build twice in every run
+OC_COORD_CELLS = [(2, 4), (3, 4), (4, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("d,n_max", OC_COORD_CELLS)
+def test_one_component_coordinate_lists_no_component(d, n_max):
+    # the bare leaf that each reticulation's component is, left out of the
+    # coordinate, is hung back under the reticulation in name order
+    for n in range(1, n_max + 1):
+        for k in range(n):
+            for root_edge, components in coords(d, n, k, one_component=True):
+                assert all(edge == ((), (0, name)) for name, edge in components)
+                assert nw._coord_to_network((root_edge, ()), d) == (
+                    nw._coord_to_network((root_edge, components), d)
+                ), (d, n, k)
+
+
 def strip(edge, keep):
     """The edge with only the reticulation labels in keep left on it, with
     the children of each node sorted again."""
@@ -393,11 +436,12 @@ def partial_networks(coords_list):
     """Distinct partial networks on the way down: each coordinate with only
     its j smallest-named reticulations inserted, j = 1..k."""
     seen = set()
-    for coord in coords_list:
-        names = [min(nw._coord_labels(edge)[0]) for edge in coord[1:]]
+    for root_edge, components in coords_list:
+        names = [name for name, _ in components]
         for j in range(1, len(names) + 1):
             keep = set(names[:j])
-            seen.add((j,) + tuple(strip(e, keep) for e in coord))
+            seen.add((j, strip(root_edge, keep),
+                      *(strip(e, keep) for _, e in components)))
     return len(seen)
 
 

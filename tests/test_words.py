@@ -58,6 +58,13 @@ def test_malformed_words_rejected_distinctly():
         words.is_member((1, 1, 1, 3, 3, 3), 2)  # letter out of range
 
 
+@pytest.mark.parametrize("w", [(), (1, 1, 2, 2)])
+def test_first_violation_rejects_word_length(w):
+    msg = f"^word length {len(w)} is not a positive multiple of d\\+1=3$"
+    with pytest.raises(words.MalformedWordError, match=msg):
+        words.first_violation(w, 2)
+
+
 def test_enumerate_words_d2_n2_exact_list():
     got = [words.word_to_str(w, 2) for w in words.enumerate_words(2, 2)]
     assert got == [
