@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -193,35 +194,47 @@ class BTable:
         return sum(self.rows[n][1:])
 
 
-def _b_rows(d: int, guard: int | None = None) -> Iterator[tuple[list[int], int, int]]:
-    """Rows [0, b(n,1), ..., b(n,n)] of the b-table for n = 1, 2, ...
+def _b_rows(
+    d: int, guard: int | None = None
+) -> Iterator[tuple[list[int], int, int, int]]:
+    """Rows of the b-table for n = 1, 2, ..., each from an index z on.
 
     Integer-only: b(n,m) = C(dn+m-2, d-1) * sum_{j<=m} b(n-1,j), so row n
     is the prefix sums of row n-1 (with b(n-1,n) = 0) times binomials, each
     computed once: rows share the ones they both use.
 
-    Yields (row, total, shift): total = sum(row) is the last of the prefix
-    sums that the next row is built from.  Without a guard the rows are
-    exact and shift is 0.  With a guard, once a row's last (largest) entry
-    is longer than guard bits, the row is cut back to guard bits after its
-    products, every entry rounded down, and shift counts the bits cut so
-    far: the exact row is at least row * 2**shift (_c_brackets bounds the
-    excess).
+    Yields (row, z, total, shift) with row[i] = b(n, z+i): total = sum(row)
+    is the last of the prefix sums that the next row is built from.
+    Without a guard the rows are exact and full, [0, b(n,1), ..., b(n,n)]
+    with z = 0, and shift is 0.  With a guard, once a row's last (largest)
+    entry is longer than guard bits, the row is cut back to guard bits
+    after its products, every entry rounded down, and shift counts the bits
+    cut so far: the exact row is at least row * 2**shift (_c_brackets bounds
+    the excess).  A guarded row is kept from its first nonzero entry z on
+    (z = 1 until the first cut).  Rows are nondecreasing in m (prefix sums
+    times increasing binomials, all cut by the same power of two), so
+    bisect finds z; the entries below it are 0, the next row's prefix sums
+    and products are 0 below z, and only the binomials of m = z..n are
+    built.
     """
-    row, shift = [0, 1], 0  # b(1,1) = 1
+    row, z, shift = [0, 1], 0, 0  # b(1,1) = 1
     binom, t0 = [], 0  # binom[i] = C(t0 + i, d-1)
     while True:
+        if guard is not None:
+            i = bisect_right(row, 0)
+            row, z = row[i:], z + i
         acc = list(accumulate(row))
-        yield row, acc[-1], shift
-        n = len(row)
-        binom, t0 = binom[d * n - 2 - t0 :], d * n - 2
-        binom.extend(map(math.comb, range(t0 + len(binom), t0 + n + 1), repeat(d - 1)))
+        yield row, z, acc[-1], shift
+        n = z + len(row)
+        binom, t0 = binom[d * n + z - 2 - t0 :], d * n + z - 2
+        binom.extend(map(math.comb, range(t0 + len(binom), d * n + n - 1), repeat(d - 1)))
         acc.append(acc[-1])
-        row = list(map(operator.mul, acc, binom))
-        cut = 0 if guard is None else row[-1].bit_length() - guard
+        row = map(operator.mul, acc, binom)
+        cut = 0 if guard is None else (acc[-1] * binom[-1]).bit_length() - guard
         if cut > 0:
-            row = list(map(operator.rshift, row, repeat(cut)))
+            row = map(operator.rshift, row, repeat(cut))
             shift += cut
+        row = list(row)
 
 
 def b_table_int(d: int, n_max: int) -> BTable:
@@ -270,7 +283,7 @@ def c_count(d: int, n: int) -> int:
     """Number of words on n letters (row sum of the b-table)."""
     d = _check_d(d)
     n = _check_int("n", n, 1)
-    _, total, _ = next(islice(_b_rows(d), n - 1, None))
+    *_, total, _ = next(islice(_b_rows(d), n - 1, None))
     return total
 
 
@@ -304,44 +317,63 @@ def _round53(x: int) -> int:
     return q << cut
 
 
+_TINY = 2.0**-1022  # the smallest normal float64
+_HEAD = 900  # w stays below 3 * 2**_HEAD
+
+
 def _c_brackets(d: int, guard: int) -> Iterator[tuple[int, int, int]]:
     """(lo_sum, width, shift) for n = 1, 2, ... with lo_sum * 2**shift <=
     c_n <= (lo_sum + width) * 2**shift, from the rows of _b_rows(d, guard).
 
     lo_sum is the sum of the cut row.  Its excess E = exact / 2**shift - row
-    is kept as a float64 vector w and a power of two e >= 0 with E <= w * 2**e
-    entrywise; w is 0 until the first cut.  The recurrence only adds and
-    multiplies by S[m] = C(dn+m-2, d-1) > 0, and a cut floor(X / 2**c) of
-    the products X loses less than 1, so E' <= S * prefix(E) * 2**-c + 1.
-    (Every row from the first cut on cuts: its last entry is >= 5 times the
-    previous one, which had guard bits.)  With u = 2**-53, a rounding of a
-    normal y >= 0 keeps at least y * (1 - u).  Row n takes at most 2n-2
-    roundings in s (S <= s * 2**x: s[1] = (S[1] >> x) + 1 is exact, and
-    S[m+1]/S[m] = (t+1)/(t-d+2), t = dn+m-2, multiplies in the rest), n-2
-    in the prefix sums of w, 4 in the product, the rescale by 2**(e1-e),
-    the add of the +1 as 2**-e and the factor, and n-1 in the sum read off
-    for width.  The rescale is exact unless it underflows, and then off by
-    <= 2**-1075 = u * 2**-1022: one rounding of its sum with 2**-e, which
-    is raised to 2**-1022 when smaller, so every entry stays normal.
-    The factor 1 + (n+4) * 2**-50 > (1 - u)**-(4n+16) (n < 2**40) covers
-    all of them, and e keeps max(w) < 3, so no row overflows, at any d, n.
+    over the whole row, m = 1..n, is kept as a float64 vector w and a power
+    of two e >= -900 with E <= w * 2**e entrywise; w is 0 until the first
+    cut.  The recurrence only adds and multiplies by S[m] = C(dn+m-2, d-1)
+    > 0, and a cut floor(X / 2**c) of a product X loses less than 1, and
+    nothing when X = 0, so E' <= S * prefix(E) * 2**-c, plus 1 where X > 0.
+    X[m] = 0 exactly for m below the window start z of the previous row
+    (its prefix sums are 0 there), so only m >= z get the +1.  (Every row
+    from the first cut on cuts: its last entry is >= 5 times the previous
+    one, which had guard bits.)  With u = 2**-53, a rounding of a normal
+    y >= 0 keeps at least y * (1 - u).  Row n takes at most 2n-2 roundings
+    in s (S <= s * 2**x: s[1] = (S[1] >> x) + 1 is exact, and S[m+1]/S[m] =
+    (dn+m-1)/(dn+m-d) multiplies in the rest), n-2 in the prefix sums of w,
+    one each in the product, the add of the +1 (as max(2**-e, 2**-1022))
+    and the factor, and n-1 in the sum read off for width; the factor
+    1 + (n+4) * 2**-50 > (1 - u)**-(4n+16) (n < 2**40) covers them.  The
+    rescale by 2**(e1-e) is exact unless it falls below 2**-1022; such an
+    entry is raised to 2**-1022, which is above it, so every entry stays
+    normal (there are no zeros: v > 0 from the second cut on, and at the
+    first every entry gets the +1).  e keeps max(w) < 3 * 2**900, so no row
+    overflows (v < 3n * 2**955), at any d, n.  Keeping max(w) that high
+    puts the raised entries 1922 bits below it: they sit at the bottom of
+    the row, and the prefix sums carry them up it, about 0.27 bits per
+    index at d = 2, so that they overtake the true excess only from about
+    n = 6000 on (with max(w) near 1, from n = 3000 on).
     """
     import numpy as np
-    w, e, last, width = None, 0, 0, 0
-    for n, (_, lo_sum, shift) in enumerate(_b_rows(d, guard), start=1):
+    w, e, last, width, z = None, 0, 0, 0, 1
+    for n, (_, z_next, lo_sum, shift) in enumerate(_b_rows(d, guard), start=1):
         if shift:
-            p = np.cumsum(w) if last else np.zeros(n - 1)
+            v = np.zeros(n)
+            if last:
+                np.cumsum(w, out=v[:-1])
+                v[-1] = v[-2]
             s1 = math.comb(d * n - 1, d - 1)
             x = max(s1.bit_length() - 53, 0)
-            t = np.arange(d * n - 1, d * n + n - 2, dtype=float)
-            s = np.cumprod(np.append(float((s1 >> x) + 1), (t + 1) / (t - d + 2)))
-            v = np.append(p, p[-1]) * s
+            s = np.arange(d * n - 1, d * n + n - 1, dtype=float)
+            s[1:] /= s[1:] - (d - 1)
+            s[0] = (s1 >> x) + 1
+            v *= np.cumprod(s, out=s)
             e1 = e + x - (shift - last)
-            e = max(e1 + math.frexp(v[-1])[1], 0)
-            w = np.ldexp(v, e1 - e) + math.ldexp(1.0, max(-e, -1022))
+            e = max(e1 + math.frexp(v[-1])[1] - _HEAD, -_HEAD)
+            w = np.maximum(np.ldexp(v, e1 - e), _TINY)
+            w[z - 1 :] += math.ldexp(1.0, max(-e, -1022))
             w *= 1 + (n + 4) * 2.0**-50
             num, den = float(w.sum()).as_integer_ratio()
-            width, last = -(-(num << e) // den), shift
+            width = -(-(num << max(e, 0)) // (den << max(-e, 0)))
+            last = shift
+        z = z_next
         yield lo_sum, width, shift
 
 
@@ -360,20 +392,25 @@ def _c_log_bracket(d: int, n_max: int, guard: int) -> np.ndarray | None:
 def c_log_sequence(d: int, n_max: int) -> np.ndarray:
     """ln c_n for n = 1..n_max, equal to math.log(c_count(d, n)) bit for bit.
 
-    The b-table rows are cut down to about 128 + n_max/2 bits (_b_rows with
-    a guard), and a float64 bound on what the cuts lost (_c_brackets) puts
-    c_n in [lo_sum, lo_sum + width] * 2**shift.  Rounding to 53 bits
+    The b-table rows are cut down to about 128 + n_max/8 bits and kept from
+    their first nonzero entry on (_b_rows with a guard), and a float64
+    bound on what the cuts lost (_c_brackets) puts c_n in
+    [lo_sum, lo_sum + width] * 2**shift.  Rounding to 53 bits
     half-even is monotone, so when both ends round to the same 53-bit
     value, c_n rounds to it as well, and math.log, which reads a big int
     only through that rounding, gives the same double for lo_sum << shift
     as for c_n.  If some n is not certified the whole sequence is redone
     with the guard doubled; this ends, because a guard longer than every
-    entry cuts nothing and leaves the exact rows with width 0.  Entry [0]
-    of the result is NaN padding.
+    entry cuts nothing and leaves the exact rows with width 0.  At d = 2
+    the bracket certifies from a guard of about 220 bits at n_max = 1999
+    and 265 at n_max = 3500 (fewer at d = 3..6), so the first guard holds
+    there; from about n = 6000 the raised entries of _c_brackets widen the
+    bracket faster than 1/8 bit per row, and at d = 2 the guard is doubled
+    from about n_max = 7000 on.  Entry [0] of the result is NaN padding.
     """
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 1)
-    guard = 128 + n_max // 2
+    guard = 128 + n_max // 8
     while (out := _c_log_bracket(d, n_max, guard)) is None:
         guard *= 2
     return out

@@ -50,11 +50,11 @@ def test_membership_witness():
 
 
 def test_malformed_words_rejected_distinctly():
-    with pytest.raises(words.MalformedWordError):
-        words.is_member((1, 1, 2), 2)  # bad length
-    with pytest.raises(words.MalformedWordError):
+    with pytest.raises(words.MalformedWordError, match="^word length 5 is not "):
+        words.is_member((1, 1, 1, 2, 2), 2)  # bad length
+    with pytest.raises(words.MalformedWordError, match=r"^letters \[1, 2\] do not "):
         words.is_member((1, 1, 1, 1, 1, 1), 2)  # letter 2 missing
-    with pytest.raises(words.MalformedWordError):
+    with pytest.raises(words.MalformedWordError, match="^letter 3 outside 1..2$"):
         words.is_member((1, 1, 1, 3, 3, 3), 2)  # letter out of range
 
 
@@ -266,7 +266,7 @@ def test_c_log_sequence_equals_exact_route():
     n_max = 400
     for d in range(2, 7):
         # the guard c_log_sequence derives cuts bits from row 100 on
-        *_, shift = next(islice(words._b_rows(d, 128 + n_max // 2), 99, None))
+        *_, shift = next(islice(words._b_rows(d, 128 + n_max // 8), 99, None))
         assert shift > 0, d
         log_c = words.c_log_sequence(d, n_max)
         assert log_c.tobytes() == exact_c_log_sequence(d, n_max).tobytes(), d
@@ -290,16 +290,18 @@ def test_c_log_bracket_is_live(monkeypatch):
 
     monkeypatch.setattr(words, "_c_log_bracket", fail_first)
     log_c = words.c_log_sequence(2, 400)
-    assert guards == [328, 656]
+    assert guards == [178, 356]
     assert log_c.tobytes() == exact_c_log_sequence(2, 400).tobytes()
 
 
 def test_c_brackets_hold_the_exact_row_sums():
-    # c_n lies in [lo_sum, lo_sum + width] * 2**shift, both with a guard so
-    # short that the bracket soon fails to certify and with the guard
-    # c_log_sequence derives for n_max = 300
+    # c_n lies in [lo_sum, lo_sum + width] * 2**shift: with one guard bit,
+    # where the cut rows are all ones and the +1 on their first entry
+    # matters, with a guard so short that the bracket soon fails to
+    # certify, with the guard c_log_sequence derives for n_max = 300 and
+    # with a longer one
     for d in range(2, 7):
-        for guard in (64, 128 + 300 // 2):
+        for guard in (1, 64, 128 + 300 // 8, 128 + 300 // 2):
             brackets = words._c_brackets(d, guard)
             for n, (row, *_), (lo_sum, width, shift) in zip(
                 range(1, 301), words._b_rows(d), brackets
@@ -308,6 +310,51 @@ def test_c_brackets_hold_the_exact_row_sums():
                     d, guard, n
                 )
             assert shift > 0 and width > 0, (d, guard)
+
+
+def test_c_brackets_hold_past_the_float_range():
+    # with 2 guard bits the width, in units of 2**shift, passes 2**900 near
+    # n = 970 (e >= 0 from there on) and 2**1024 near n = 1100, where the +1
+    # is added as 2**-1022 rather than 2**-e
+    brackets = words._c_brackets(2, 2)
+    for n, (row, *_), (lo_sum, width, shift) in zip(
+        range(1, 1201), words._b_rows(2), brackets
+    ):
+        assert lo_sum << shift <= sum(row) <= (lo_sum + width) << shift, n
+    assert width > 2**1030
+
+
+def cut_rows(d, guard, n_max):
+    """Reference: the full rows [0, b(n,1), ..., b(n,n)] with their shift,
+    each cut back to guard bits once its last entry is longer (no cut
+    without a guard)."""
+    row, shift = [0, 1], 0
+    for n in range(1, n_max + 1):
+        yield row, shift
+        acc = list(accumulate(row))
+        acc.append(acc[-1])
+        row = [a * math.comb(d * (n + 1) + m - 2, d - 1) for m, a in enumerate(acc)]
+        cut = 0 if guard is None else row[-1].bit_length() - guard
+        if cut > 0:
+            row = [x >> cut for x in row]
+            shift += cut
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_b_rows_windows_are_the_cut_rows(d):
+    for guard in (64, 128 + 300 // 8):
+        for (row, z, total, shift), (full, full_shift) in zip(
+            words._b_rows(d, guard), cut_rows(d, guard, 300)
+        ):
+            # the window starts at the first nonzero entry of the cut row
+            assert [0] * z + row == full and row[0] > 0, (guard, z)
+            assert (total, shift) == (sum(full), full_shift)
+        assert z > 100, guard  # the window is live
+    table = words.b_table_int(d, 300)
+    for n, (row, z, total, shift), (full, _) in zip(
+        range(1, 301), words._b_rows(d), cut_rows(d, None, 300)
+    ):
+        assert row == full == table.rows[n] and (z, total, shift) == (0, sum(row), 0)
 
 
 # sha256 of c_log_sequence(d, 1999).tobytes(), as the exact big-integer rows
@@ -331,12 +378,12 @@ def test_c_log_sequence_long_runs_certify_on_the_first_guard(monkeypatch):
         guards.clear()
         pinned[d] = words.c_log_sequence(d, 1999).tobytes()
         assert hashlib.sha256(pinned[d]).hexdigest() == digest, d
-        assert guards == [1127], d
-    # from n = 2920 on the width, in units of 2**shift, is past 2**1024,
-    # beyond float64: only its power-of-two exponent holds it
+        assert guards == [377], d
+    # the width, in units of 2**shift, stays below 2**365 up to n = 3500
+    # here; test_c_brackets_hold_past_the_float_range covers wider ones
     guards.clear()
     log_c = words.c_log_sequence(2, 3500)
-    assert guards == [1878]
+    assert guards == [565]
     assert log_c[:2000].tobytes() == pinned[2]
 
 
