@@ -375,6 +375,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        # a size the machine cannot hold is bad input, not a failed check
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return 2
 
 
 if __name__ == "__main__":

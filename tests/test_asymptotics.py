@@ -329,7 +329,10 @@ def _e_log_rows_full_width(d, n_max, keep_m):
     [(d, 3000, 64) for d in range(2, 7)]
     + [(2, 6000, 4)]
     # keep_m = n_max: a cut that ignored keep_m would change stored entries
-    + [(d, 500, 500) for d in (7, 20, 100)],
+    + [(d, 500, 500) for d in (7, 20, 100)]
+    # one parity per row: the neighbour offsets and the keep_m + 1 floor of
+    # the row cut meet at small rows and small keep_m
+    + [(d, 40, keep_m) for d in range(2, 7) for keep_m in (0, 1, 2, 3, 5, 40)],
 )
 def test_e_sequence_matches_full_width_rows(d, n_max, keep_m):
     seq = asym.e_sequence(d, n_max, keep_m=keep_m)
@@ -343,6 +346,10 @@ def test_e_sequence_matches_full_width_rows(d, n_max, keep_m):
 E_ROWS_SHA256 = {
     2: "cd2923509c7e11bff536e76b4e5bf21ef64d48f7b960c62d620db9f09618d5e2",
     3: "d780821bf881ab50e220d5b67f90c3e8ea683b13a80c337281fe9c4718e45c70",
+    # recorded before e_sequence stored one parity per row
+    4: "4f6dc5f7e2c92cbe15581508f1f92ac12544ff3de569c54671393fac99c91ca1",
+    5: "12e941ecd656064ef91f3918f52139b5ce957183fe59fc1d654871424b494d61",
+    6: "779f78106c7f7f6b6335069debe08de6920eb44a8a737d7d21a2abc4e3e0a9e3",
 }
 
 
@@ -351,6 +358,39 @@ def test_e_sequence_of_criterion_10_is_pinned(d):
     rows = asym.e_sequence(d, 10000, keep_m=4).log_rows
     assert rows.shape == (10001, 5) and rows.dtype == np.float64
     assert hashlib.sha256(rows.tobytes()).hexdigest() == E_ROWS_SHA256[d]
+
+
+# sha256 of e_sequence(2, 4000, keep_m=64).log_rows, the run behind
+# test_airy_profile_of_e_row, recorded before e_sequence stored one parity
+# per row
+E_ROWS_4000_64_SHA256 = (
+    "953326b2d4b112c9c0b61e00dc78a8342e540860b937800f707486577882d547"
+)
+
+
+def test_e_sequence_of_the_airy_profile_is_pinned():
+    rows = asym.e_sequence(2, 4000, keep_m=64).log_rows
+    assert rows.shape == (4001, 65) and rows.dtype == np.float64
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == E_ROWS_4000_64_SHA256
+
+
+# sha256 of e_sequence(d, n_max, keep_m).log_rows in runs where the keep_m + 1
+# floor of the row cut binds: from row 704 (d = 2) and row 444 (d = 100) on,
+# the cut drops nonzero entries past keep_m + 1; recorded before e_sequence
+# stored one parity per row.  Stored rows from 710 and 448 on then differ from
+# the full-width run (by up to 7e-5 in ln e), so only the bytes are held.
+E_ROWS_FLOOR_SHA256 = {
+    (2, 800, 700): "5f90618a5635740d7f86a88871ffadc88657ea9234305fb505d554ba983c5b9e",
+    (100, 500, 440): "f3a349228f7d0a9aff5e3567f401345b1eca0ce8d43db52caa701ec56c28740b",
+}
+
+
+@pytest.mark.parametrize("d, n_max, keep_m", sorted(E_ROWS_FLOOR_SHA256))
+def test_e_sequence_under_the_keep_floor_is_pinned(d, n_max, keep_m):
+    rows = asym.e_sequence(d, n_max, keep_m=keep_m).log_rows
+    assert rows.shape == (n_max + 1, keep_m + 1)
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert digest == E_ROWS_FLOOR_SHA256[d, n_max, keep_m]
 
 
 @pytest.mark.parametrize("d", [2, 3])

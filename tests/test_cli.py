@@ -287,6 +287,31 @@ def test_enumerate_networks_budget_exceeded(capsys, one_component, fmt):
     assert captured.err.startswith("budget exceeded:")
 
 
+@pytest.mark.parametrize(
+    "message, err",
+    [
+        # numpy's _ArrayMemoryError is a MemoryError with this text
+        (
+            "Unable to allocate 7.28 TiB for an array with shape"
+            " (200000000001, 5) and data type float64",
+            "error: Unable to allocate 7.28 TiB for an array with shape"
+            " (200000000001, 5) and data type float64\n",
+        ),
+        ("", "error: out of memory\n"),
+    ],
+)
+def test_memory_error_is_a_usage_error(capsys, monkeypatch, message, err):
+    # exit 1 is kept for a failed verification; nothing is allocated here
+    def fit_e_diagonal(d, j_max):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(asym, "fit_e_diagonal", fit_e_diagonal)
+    assert cli.main(["asym", "fit", "--d", "2", "--n-max", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_dist_without_n_is_a_usage_error(capsys):
     assert cli.main(["dist", "--d", "2"]) == 2
     captured = capsys.readouterr()
