@@ -6,9 +6,11 @@ reports share the envelope {"command", "params", "result", "version"}, and
 integers at or beyond 2^53 are emitted as decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.  Numeric modules are imported in the handler that uses them, so
-count, enumerate, dist --exploratory and every verify suite but props and
-asym load no numpy.
+exceeded.  A usage error, whether found by a handler here or by the
+library, is a ValueError that ``main`` alone prints as one ``error:`` line;
+argparse's own parse errors keep their usage text.  Numeric modules are
+imported in the handler that uses them, so count, enumerate, dist
+--exploratory and every verify suite but props and asym load no numpy.
 """
 
 from __future__ import annotations
@@ -53,13 +55,10 @@ def _cmd_count(args) -> int:
         value = words.tc_max_count(args.d, args.n)
     elif kind == "c":
         value = words.c_count(args.d, args.n)
-    elif kind == "b":
+    else:  # b
         if args.k is None:
-            sys.stderr.write("count b requires --k (the suffix index m)\n")
-            return 2
+            raise ValueError("count b requires --k (the suffix index m)")
         value = words.b_table_int(args.d, args.n).b(args.n, args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
     _emit(str(value))
     return 0
 
@@ -74,8 +73,7 @@ def _cmd_enumerate(args) -> int:
                             ("--one-component", args.one_component),
                             ("--format dot", args.format == "dot")):
             if given:
-                sys.stderr.write(f"enumerate words does not take {flag}\n")
-                return 2
+                raise ValueError(f"enumerate words does not take {flag}")
         stream = list(words.enumerate_words(args.d, args.n, budget=args.budget))
         if args.format == "count":
             _emit(str(len(stream)))
@@ -167,10 +165,8 @@ def _cmd_verify(args) -> int:
         from . import asymptotics as asym
         q = asym.resolved_q_coeff(d) if args.q is None else args.q
         ok, report = criteria.proposition_sweeps(d, q)
-    elif suite == "asym":
+    else:  # asym
         ok, report = _suite_asym(d)
-    else:  # pragma: no cover
-        return 2
     report["suite"] = suite
     report["pass"] = ok
     _emit(_envelope("verify", {"suite": suite, "d": d}, report))
@@ -192,26 +188,22 @@ def _cmd_dist(args) -> int:
             ("without --exploratory words", "--budget",
              args.budget is not None and args.exploratory != "words")):
         if given:
-            sys.stderr.write(f"dist {mode} does not take {flag}\n")
-            return 2
+            raise ValueError(f"dist {mode} does not take {flag}")
     params = {"d": args.d, "n": args.n}
     if args.exploratory:
         if args.d != 2:
-            sys.stderr.write(f"--exploratory {args.exploratory} requires --d 2\n")
-            return 2
+            raise ValueError(f"--exploratory {args.exploratory} requires --d 2")
         if args.exploratory == "poisson":
             table = exact.appendix_table(2)
             rows = table.n_values
             if args.n is not None and args.n not in rows:
-                sys.stderr.write(f"--exploratory poisson takes --n in the reference "
-                                 f"rows {rows[0]}..{rows[-1]}, got {args.n}\n")
-                return 2
+                raise ValueError(f"--exploratory poisson takes --n in the reference "
+                                 f"rows {rows[0]}..{rows[-1]}, got {args.n}")
             report = dist.conjecture_poisson_report(table, args.n)
         else:  # words conjecture
             n = args.n if args.n is not None else 4
             if n < 1:
-                sys.stderr.write("--exploratory words requires --n >= 1\n")
-                return 2
+                raise ValueError("--exploratory words requires --n >= 1")
             budget = words.DEFAULT_WORD_BUDGET if args.budget is None else args.budget
             report = dist.conjecture_words_report(
                 exact.appendix_table(2), n, budget=budget)
@@ -223,8 +215,7 @@ def _cmd_dist(args) -> int:
         return 0
 
     if args.n is None:
-        sys.stderr.write("dist requires --n unless --exploratory is given\n")
-        return 2
+        raise ValueError("dist requires --n unless --exploratory is given")
     if args.limit is None:
         pmf = dist.r_pmf(args.d, args.n)
         if args.format == "csv":
@@ -240,13 +231,11 @@ def _cmd_dist(args) -> int:
 
     if args.limit == "bessel":
         if args.d != 3:
-            sys.stderr.write("--limit bessel requires --d 3\n")
-            return 2
+            raise ValueError("--limit bessel requires --d 3")
         result = {"n": args.n, "d": args.d, "tv": dist.bessel_limit_check(args.n)}
     elif args.limit == "normal":
         if args.d != 2:
-            sys.stderr.write("--limit normal requires --d 2\n")
-            return 2
+            raise ValueError("--limit normal requires --d 2")
         moments, sup = dist.normal_limit_check(args.n)
         result = {
             "n": args.n,
@@ -258,8 +247,7 @@ def _cmd_dist(args) -> int:
         }
     else:  # degenerate
         if args.d < 4:
-            sys.stderr.write("--limit degenerate requires --d >= 4\n")
-            return 2
+            raise ValueError("--limit degenerate requires --d >= 4")
         result = {"n": args.n, "d": args.d,
                   "p_max": dist.degenerate_check(args.d, args.n)}
     _emit(_envelope("dist", {**params, "limit": args.limit}, result))

@@ -809,11 +809,28 @@ def _json_payload(cf: PhyloNetwork) -> dict:
     }
 
 
+_JSON_KEYS = ("d", "nodes", "edges", "leaf_labels")
+
+
 def from_json(data: bytes | str) -> PhyloNetwork:
+    """The network of a JSON export; ValueError naming what is malformed."""
     payload = json.loads(data)
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"network JSON must be an object, got {type(payload).__name__}")
+    missing = [key for key in _JSON_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"network JSON lacks the keys {missing}")
     roles = [None] * len(payload["nodes"])
+    seen = set()
     for entry in payload["nodes"]:
-        roles[entry["id"]] = entry["role"]
+        i = entry["id"]
+        if type(i) is not int or not 0 <= i < len(roles):
+            raise ValueError(f"node id {i!r} is outside 0..{len(roles) - 1}")
+        if i in seen:
+            raise ValueError(f"node id {i} is used twice")
+        seen.add(i)
+        roles[i] = entry["role"]
     return PhyloNetwork(
         d=payload["d"],
         roles=tuple(roles),

@@ -254,29 +254,22 @@ def b_table_rational(d: int, n_max: int) -> BTable:
     """
     d = _check_d(d)
     n_max = _check_int("n_max", n_max, 1)
-    rows: list[list[Fraction]] = [[], [Fraction(0), Fraction(1)]]
+    rows: list[list[int]] = [[], [0, 1]]
     for n in range(2, n_max + 1):
-        prev = rows[n - 1]
-        row = [Fraction(0)] * (n + 1)
+        prev = rows[n - 1] + [0]
+        row = [0] * (n + 1)
         for m in range(1, n + 1):
-            above = prev[m] if m < len(prev) else Fraction(0)
-            row[m] = (
-                Fraction(d * n + m - 2, d * n + m - d - 1) * row[m - 1]
-                + math.comb(d * n + m - 2, d - 1) * above
-            )
-        rows.append(row)
-    int_rows: list[list[int]] = [[]]
-    for n in range(1, n_max + 1):
-        out = [0] * (n + 1)
-        for m in range(1, n + 1):
-            v = rows[n][m]
-            if v.denominator != 1:
+            # (dn+m-2)/(dn+m-d-1) * b(n,m-1), split into numerator and
+            # denominator so that each entry is checked as it is made
+            num, den = (d * n + m - 2) * row[m - 1], d * n + m - d - 1
+            tail = math.comb(d * n + m - 2, d - 1) * prev[m]
+            if num % den:
                 raise ArithmeticError(
-                    f"non-integral b({n},{m}) = {v} for d={d}"
+                    f"non-integral b({n},{m}) = {Fraction(num, den) + tail} for d={d}"
                 )
-            out[m] = v.numerator
-        int_rows.append(out)
-    return BTable(d=d, n_max=n_max, rows=int_rows)
+            row[m] = num // den + tail
+        rows.append(row)
+    return BTable(d=d, n_max=n_max, rows=rows)
 
 
 def c_count(d: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -161,9 +162,9 @@ def test_dist_commands(capsys):
 
 @pytest.mark.parametrize(
     "limit, d, message",
-    [("bessel", "2", "--limit bessel requires --d 3\n"),
-     ("normal", "3", "--limit normal requires --d 2\n"),
-     ("degenerate", "3", "--limit degenerate requires --d >= 4\n")],
+    [("bessel", "2", "error: --limit bessel requires --d 3\n"),
+     ("normal", "3", "error: --limit normal requires --d 2\n"),
+     ("degenerate", "3", "error: --limit degenerate requires --d >= 4\n")],
 )
 def test_dist_limit_rejects_wrong_d(capsys, limit, d, message):
     assert cli.main(["dist", "--d", d, "--n", "20", "--limit", limit]) == 2
@@ -316,7 +317,7 @@ def test_dist_without_n_is_a_usage_error(capsys):
     assert cli.main(["dist", "--d", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "dist requires --n unless --exploratory is given\n"
+    assert captured.err == "error: dist requires --n unless --exploratory is given\n"
     assert cli.main(["dist", "--d", "2", "--exploratory", "words"]) == 0
 
 
@@ -422,6 +423,51 @@ def test_enumerate_words_rejects_network_flags(capsys, extra, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and flag in captured.err
+
+
+USAGE_ERRORS = {
+    "count-b-without-k": ["count", "b", "--d", "2", "--n", "3"],
+    "words-network-flag": ["enumerate", "words", "--d", "2", "--n", "2",
+                           "--k", "1"],
+    "dist-ignored-flag": ["dist", "--d", "2", "--n", "8",
+                          "--exploratory", "poisson", "--limit", "normal"],
+    "exploratory-d": ["dist", "--d", "3", "--n", "8", "--exploratory", "poisson"],
+    "poisson-row": ["dist", "--d", "2", "--n", "9", "--exploratory", "poisson"],
+    "words-n": ["dist", "--d", "2", "--n", "0", "--exploratory", "words"],
+    "dist-without-n": ["dist", "--d", "2"],
+    "bessel-d": ["dist", "--d", "2", "--n", "20", "--limit", "bessel"],
+    "normal-d": ["dist", "--d", "3", "--n", "20", "--limit", "normal"],
+    "degenerate-d": ["dist", "--d", "3", "--n", "20", "--limit", "degenerate"],
+    # raised by the library, not by the command line
+    "negative-budget": ["enumerate", "words", "--d", "2", "--n", "2",
+                        "--budget", "-1"],
+    "sandwich-d": ["verify", "--suite", "sandwich", "--d", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_print_one_error_line(capsys, argv):
+    # a check in the command line and a check in the library look the same
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_only_main_reports_usage_errors():
+    # the handlers raise ValueError, and main alone turns it into exit 2
+    tree = ast.parse((ROOT / "src" / "treechild" / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    outside = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if id(node) not in in_main and (
+            isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+            or isinstance(node, ast.Return) and ast.unparse(node) == "return 2")
+    ]
+    assert outside == []
 
 
 @pytest.mark.parametrize(

@@ -653,6 +653,44 @@ def test_export_json_round_trip():
         assert sorted(payload["leaf_labels"].values()) == [1, 2, 3]
 
 
+def _shift_ids(payload, shift):
+    """The payload with every node id moved by shift, edges and labels too."""
+    return {
+        **payload,
+        "nodes": [{**e, "id": e["id"] + shift} for e in payload["nodes"]],
+        "edges": [[u + shift, v + shift] for u, v in payload["edges"]],
+        "leaf_labels": {str(int(node) + shift): lab
+                        for node, lab in payload["leaf_labels"].items()},
+    }
+
+
+PAYLOAD = json.loads(nw.to_json(nw.enumerate_otc(2, 3, 1)[0]))
+SIZE = len(PAYLOAD["nodes"])
+MALFORMED_JSON = {
+    "not-an-object": ([], "must be an object, got list"),
+    "no-keys": ({}, "lacks the keys ['d', 'nodes', 'edges', 'leaf_labels']"),
+    "no-edges": ({k: v for k, v in PAYLOAD.items() if k != "edges"},
+                 "lacks the keys ['edges']"),
+    # negative indexing would alias these to the original nodes
+    "negative-ids": (_shift_ids(PAYLOAD, -SIZE),
+                     f"node id {-SIZE} is outside 0..{SIZE - 1}"),
+    "id-past-end": (_shift_ids(PAYLOAD, 1), f"node id {SIZE} is outside 0..{SIZE - 1}"),
+    "string-id": ({**PAYLOAD, "nodes": [{**e, "id": str(e["id"])}
+                                        for e in PAYLOAD["nodes"]]},
+                  "node id '0' is outside"),
+    "repeated-id": ({**PAYLOAD, "nodes": [{**e, "id": 0} if e["id"] == 1 else e
+                                          for e in PAYLOAD["nodes"]]},
+                    "node id 0 is used twice"),
+}
+
+
+@pytest.mark.parametrize("payload,message", list(MALFORMED_JSON.values()),
+                         ids=list(MALFORMED_JSON))
+def test_from_json_refuses_malformed_payloads(payload, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nw.from_json(json.dumps(payload))
+
+
 # (enumerator, d, n, k, random node renumberings per network)
 PROPERTY_CELLS = (
     [(nw.enumerate_tc, 2, n, k, 3) for n in (1, 2, 3) for k in range(n)]
