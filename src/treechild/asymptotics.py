@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -663,15 +662,14 @@ def _airy_ai_log_split(parts: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _prop_sweep(
-    d: int,
-    n_values: list[int],
-    eps: float,
-    q_coeff: int,
-    eta: float | None,
-    m_exponent: float,
-    super_side: bool,
+    d: int, n_values: list[int] | None, eps: float, q_coeff: int, super_side: bool
 ) -> PropReport:
-    """Sweep one inequality, each row n as arrays over m = 0..m_cap-1.
+    """Check one side's arguments, then sweep it, each row n as arrays over
+    m = 0..m_cap-1, m_cap = int(n^(eps_max - eps)); the super side adds eta.
+
+    Each n must be an integer >= 3: mu has its pole at n = 2, m = 0, and
+    row n - 1 = 0 has no Airy argument.  Python ints also keep n^(1/3) and
+    the memo key of _airy_rows the same for equal n of any integer type.
 
     Per sample, with the three logs shifted by their maximum top:
     lhs = X(n, m) s_n e^(la0 - top) and rhs = mu X(n-1, m+1) e^(la_up - top)
@@ -682,6 +680,22 @@ def _prop_sweep(
     which are exact, and exp comes from math, so every lhs and rhs is the
     IEEE value of the scalar evaluation.
     """
+    d = _check_d(d)
+    q_coeff = _check_int("q_coeff", q_coeff)
+    side, eps_max, bound = (
+        ("super", 1.0, "(0, 1)") if super_side else ("sub", 2.0 / 3.0, "(0, 2/3)")
+    )
+    if not 0.0 < eps < eps_max:
+        raise ValueError(
+            f"eps must be in {bound} for the {side}-solution sweep, got {eps}"
+        )
+    if n_values is None:
+        n_values = default_prop_n_values()
+    n_values = [_check_int("n_values entries", n, 3) for n in n_values]
+    if not n_values:
+        raise ValueError("n_values must not be empty")
+    m_exponent = eps_max - eps
+    eta = (2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01 if super_side else None
     p = params(d)
     quad = (2 * d - 1) / (3.0 * (d + 1))
     lin = q_coeff / (6.0 * (d + 1))
@@ -715,72 +729,30 @@ def _prop_sweep(
             violations.append((n, i, float(lhs[i]), float(rhs[i])))
     return PropReport(
         d=d,
-        check="supersolution" if super_side else "subsolution",
+        check=f"{side}solution",
         q_coeff=q_coeff,
         eps=eps,
         eta=eta,
         violations=violations,
-        n_values=list(n_values),
+        n_values=n_values,
         samples=samples,
     )
-
-
-def _sweep_n_values(n_values: list[int] | None) -> list[int]:
-    """The sampled rows as Python ints, the default list when None.
-
-    Each n must be at least 3: mu has its pole at n = 2, m = 0, and row
-    n - 1 = 0 has no Airy argument.  Python ints also keep n^(1/3) and the
-    memo key of _airy_rows the same for equal n of any integer type.
-    """
-    if n_values is None:
-        return default_prop_n_values()
-    checked = []
-    for n in n_values:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"n_values entries must be integers, got {n!r}") from None
-        if n < 3:
-            raise ValueError(f"n_values entries must be >= 3, got {n}")
-        checked.append(n)
-    if not checked:
-        raise ValueError("n_values must not be empty")
-    return checked
 
 
 def check_subsolution(
     d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
-    """Sweep the sub-solution inequality over sampled n and 0 <= m < n^(2/3-eps)."""
-    d = _check_d(d)
-    q_coeff = _check_int("q_coeff", q_coeff)
-    if not 0.0 < eps < 2.0 / 3.0:
-        raise ValueError(
-            f"eps must be in (0, 2/3) for the sub-solution sweep, got {eps}"
-        )
-    n_values = _sweep_n_values(n_values)
-    return _prop_sweep(
-        d, n_values, eps, q_coeff, eta=None,
-        m_exponent=2.0 / 3.0 - eps, super_side=False,
-    )
+    """Sweep the sub-solution inequality over the rows n of n_values (each an
+    integer >= 3, the default rows when None) and 0 <= m < n^(2/3-eps)."""
+    return _prop_sweep(d, n_values, eps, q_coeff, super_side=False)
 
 
 def check_supersolution(
     d: int, n_values: list[int] | None = None, eps: float = 0.1, *, q_coeff: int
 ) -> PropReport:
-    """Sweep the super-solution inequality over sampled n and 0 <= m < n^(1-eps)."""
-    d = _check_d(d)
-    q_coeff = _check_int("q_coeff", q_coeff)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(
-            f"eps must be in (0, 1) for the super-solution sweep, got {eps}"
-        )
-    n_values = _sweep_n_values(n_values)
-    return _prop_sweep(
-        d, n_values, eps, q_coeff,
-        eta=(2 * d - 1) ** 2 / (18.0 * (d + 1) ** 2) + 0.01,
-        m_exponent=1.0 - eps, super_side=True,
-    )
+    """Sweep the super-solution inequality over the rows n of n_values (each
+    an integer >= 3, the default rows when None) and 0 <= m < n^(1-eps)."""
+    return _prop_sweep(d, n_values, eps, q_coeff, super_side=True)
 
 
 # ---------------------------------------------------------------------------

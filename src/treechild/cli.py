@@ -40,12 +40,22 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _refuse_unread(*rows: tuple[str, str, bool]) -> None:
+    """ValueError at the first (mode, flag, given) row where given is true:
+    mode does not read flag, and a flag it would ignore is an error, not a no-op."""
+    for mode, flag, given in rows:
+        if given:
+            raise ValueError(f"{mode} does not take {flag}")
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
     kind = args.kind
+    _refuse_unread(
+        (f"count {kind}", "--k", kind in ("tcmax", "c") and args.k is not None))
     if kind == "otc":
         if args.k is not None:
             value = exact.otc_count(args.d, args.n, args.k)
@@ -69,11 +79,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.what == "words":
-        for flag, given in (("--k", args.k is not None),
-                            ("--one-component", args.one_component),
-                            ("--format dot", args.format == "dot")):
-            if given:
-                raise ValueError(f"enumerate words does not take {flag}")
+        _refuse_unread(("enumerate words", "--k", args.k is not None),
+                       ("enumerate words", "--one-component", args.one_component),
+                       ("enumerate words", "--format dot", args.format == "dot"))
         stream = list(words.enumerate_words(args.d, args.n, budget=args.budget))
         if args.format == "count":
             _emit(str(len(stream)))
@@ -147,14 +155,19 @@ def _suite_asym(d: int) -> tuple[bool, dict]:
 def _cmd_verify(args) -> int:
     from . import criteria
     suite = args.suite
+    mode = f"verify --suite {suite}"
+    _refuse_unread((mode, "--q", suite != "props" and args.q is not None),
+                   (mode, "--budget", suite in ("sandwich", "props", "asym")
+                    and args.budget is not None))
     d = args.d if args.d is not None else 2
+    budget = nw.DEFAULT_NETWORK_BUDGET if args.budget is None else args.budget
     if suite == "tables":
         ok, report = _suite({"d": d}, criteria.tcmax_rows(d),
-                            criteria.tc_oracle(d, args.budget))
+                            criteria.tc_oracle(d, budget))
     elif suite == "formulas":
-        ok, report = _suite({"d": d}, criteria.otc_formula(d, args.budget))
+        ok, report = _suite({"d": d}, criteria.otc_formula(d, budget))
     elif suite == "words":
-        ok, report = _suite({"d": d}, criteria.word_oracle(d, args.budget),
+        ok, report = _suite({"d": d}, criteria.word_oracle(d, budget),
                             criteria.dual_recurrence(d))
     elif suite == "sandwich":
         if args.d is not None:
@@ -181,14 +194,12 @@ def _cmd_dist(args) -> int:
     from . import criteria
     from . import distributions as dist
     csv = args.format == "csv"
-    for mode, flag, given in (
-            ("--exploratory", "--limit", args.exploratory and args.limit),
-            ("--exploratory", "--format csv", args.exploratory and csv),
-            ("--limit", "--format csv", args.limit and csv),
-            ("without --exploratory words", "--budget",
-             args.budget is not None and args.exploratory != "words")):
-        if given:
-            raise ValueError(f"dist {mode} does not take {flag}")
+    _refuse_unread(
+        ("dist --exploratory", "--limit", args.exploratory and args.limit),
+        ("dist --exploratory", "--format csv", args.exploratory and csv),
+        ("dist --limit", "--format csv", args.limit and csv),
+        ("dist without --exploratory words", "--budget",
+         args.budget is not None and args.exploratory != "words"))
     params = {"d": args.d, "n": args.n}
     if args.exploratory:
         if args.d != 2:
@@ -260,25 +271,32 @@ def _cmd_dist(args) -> int:
 
 def _cmd_asym(args) -> int:
     from . import asymptotics as asym
-    if args.what == "root":
+    what = args.what
+    mode = f"asym {what}"
+    _refuse_unread((mode, "--d", what == "root" and args.d is not None),
+                   (mode, "--n-max", what != "fit" and args.n_max is not None),
+                   (mode, "--window", what != "residual" and args.window is not None))
+    if what == "root":
         _emit(_envelope("asym", {"what": "root"}, {"a1": asym.airy_root_a1()}))
         return 0
-    if args.what == "fit":
-        fit = asym.fit_e_diagonal(args.d, args.n_max)
+    d = 2 if args.d is None else args.d
+    if what == "fit":
+        n_max = 5000 if args.n_max is None else args.n_max
+        fit = asym.fit_e_diagonal(d, n_max)
         _emit(
             _envelope(
                 "asym",
-                {"what": "fit", "d": args.d, "n_max": args.n_max},
+                {"what": "fit", "d": d, "n_max": n_max},
                 fit.to_dict(),
             )
         )
         return 0
-    lo, hi = args.window
-    window = asym.theta_residual_window(args.d, lo, hi)
+    lo, hi = [500, 2000] if args.window is None else args.window
+    window = asym.theta_residual_window(d, lo, hi)
     _emit(
         _envelope(
             "asym",
-            {"what": "residual", "d": args.d, "window": [lo, hi]},
+            {"what": "residual", "d": d, "window": [lo, hi]},
             {
                 "oscillation": window["oscillation"],
                 "dyadic_differences": [float(x) for x in window["dyadic_differences"]],
@@ -326,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int,
                    help="prefactor coefficient for props (default "
                    "3d^2+12d-11, which balances the 1/n terms of both sweeps)")
-    p.add_argument("--budget", type=int, default=nw.DEFAULT_NETWORK_BUDGET)
+    p.add_argument("--budget", type=int,
+                   help="search budget of tables, formulas and words (default "
+                   f"{nw.DEFAULT_NETWORK_BUDGET})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dist", help="reticulation-count distributions")
@@ -342,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="asymptotic formulas and fits")
     p.add_argument("what", choices=["root", "fit", "residual"])
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=5000)
-    p.add_argument("--window", type=int, nargs=2, default=[500, 2000])
+    p.add_argument("--d", type=int, help="fit and residual (default 2)")
+    p.add_argument("--n-max", type=int, help="fit (default 5000)")
+    p.add_argument("--window", type=int, nargs=2, help="residual (default 500 2000)")
     p.set_defaults(func=_cmd_asym)
     return parser
 

@@ -50,13 +50,14 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, product
 from operator import itemgetter
 
-from .exact import _check_int, _check_params
+from .exact import _check_d, _check_int, _check_params
 from .words import BudgetExceeded
 
 ROOT = "root"
 TREE = "tree"
 RET = "reticulation"
 LEAF = "leaf"
+_ROLES = (ROOT, TREE, RET, LEAF)
 
 DEFAULT_NETWORK_BUDGET = 50_000_000
 
@@ -821,18 +822,32 @@ def from_json(data: bytes | str) -> PhyloNetwork:
     missing = [key for key in _JSON_KEYS if key not in payload]
     if missing:
         raise ValueError(f"network JSON lacks the keys {missing}")
+    for key, shape in (("nodes", list), ("edges", list), ("leaf_labels", dict)):
+        if not isinstance(payload[key], shape):
+            raise ValueError(f"network JSON {key} must be a {shape.__name__}, "
+                             f"got {type(payload[key]).__name__}")
     roles = [None] * len(payload["nodes"])
     seen = set()
     for entry in payload["nodes"]:
+        if not (isinstance(entry, dict) and "id" in entry and "role" in entry):
+            raise ValueError(
+                f"node entry {entry!r} is not an object with an id and a role")
         i = entry["id"]
         if type(i) is not int or not 0 <= i < len(roles):
             raise ValueError(f"node id {i!r} is outside 0..{len(roles) - 1}")
         if i in seen:
             raise ValueError(f"node id {i} is used twice")
         seen.add(i)
+        if entry["role"] not in _ROLES:
+            raise ValueError(f"node {i} has role {entry['role']!r}, "
+                             f"not one of {list(_ROLES)}")
         roles[i] = entry["role"]
+    for edge in payload["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(type(v) is int for v in edge)):
+            raise ValueError(f"edge {edge!r} is not a pair of node ids")
     return PhyloNetwork(
-        d=payload["d"],
+        d=_check_d(payload["d"]),
         roles=tuple(roles),
         edges=tuple((u, v) for u, v in payload["edges"]),
         leaf_labels=tuple(

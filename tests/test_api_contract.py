@@ -278,3 +278,23 @@ def test_package_imports_submodules_on_first_use():
             f"treechild.{name}")
     with pytest.raises(AttributeError, match="nosuch"):
         treechild.nosuch
+
+
+def test_one_integer_policy():
+    # exact._check_int alone decides what an integer is: a second test such
+    # as operator.index reads True as 1, where _check_int refuses it by name
+    src = Path(treechild.__file__).resolve().parent
+    banned = {"operator.index", "numbers.Integral"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in banned]
+    assert found == []

@@ -647,14 +647,17 @@ def test_airy_rows_cache_key_and_reuse():
 
 @pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])
 def test_prop_sweeps_reject_non_integer_n(check):
-    with pytest.raises(ValueError, match="n_values entries must be integers"):
+    with pytest.raises(ValueError, match="n_values entries must be an integer, got 200.5"):
         check(2, n_values=[200.5], q_coeff=13)
-    with pytest.raises(ValueError, match="n_values entries must be integers"):
+    with pytest.raises(ValueError, match="n_values entries must be an integer, got 200.0"):
         check(2, n_values=[200.0], q_coeff=13)
+    # a bool is refused by name, not read as row 1
+    with pytest.raises(ValueError, match="n_values entries must be an integer, got True"):
+        check(2, n_values=[200, True], q_coeff=13)
     # numpy integers are integers, swept as the equal Python int
-    assert check(2, n_values=[np.int64(200)], q_coeff=13).to_dict() == check(
-        2, n_values=[200], q_coeff=13
-    ).to_dict()
+    got = check(2, n_values=[np.int64(200)], q_coeff=13)
+    assert got.n_values == [200] and type(got.n_values[0]) is int
+    assert got.to_dict() == check(2, n_values=[200], q_coeff=13).to_dict()
 
 
 @pytest.mark.parametrize("check", [asym.check_subsolution, asym.check_supersolution])

@@ -442,6 +442,18 @@ USAGE_ERRORS = {
     "negative-budget": ["enumerate", "words", "--d", "2", "--n", "2",
                         "--budget", "-1"],
     "sandwich-d": ["verify", "--suite", "sandwich", "--d", "2"],
+    # a flag that the chosen mode does not read
+    "count-tcmax-k": ["count", "tcmax", "--d", "2", "--n", "8", "--k", "1"],
+    "count-c-k": ["count", "c", "--d", "2", "--n", "3", "--k", "1"],
+    "asym-root-d": ["asym", "root", "--d", "2"],
+    "asym-root-n-max": ["asym", "root", "--n-max", "5000"],
+    "asym-root-window": ["asym", "root", "--window", "500", "2000"],
+    "asym-fit-window": ["asym", "fit", "--d", "2", "--window", "500", "2000"],
+    "asym-residual-n-max": ["asym", "residual", "--d", "2", "--n-max", "5000"],
+    "verify-q-outside-props": ["verify", "--suite", "sandwich", "--q", "25"],
+    "verify-sandwich-budget": ["verify", "--suite", "sandwich", "--budget", "10"],
+    "verify-props-budget": ["verify", "--suite", "props", "--d", "2", "--budget", "10"],
+    "verify-asym-budget": ["verify", "--suite", "asym", "--budget", "10"],
 }
 
 

@@ -681,6 +681,23 @@ MALFORMED_JSON = {
     "repeated-id": ({**PAYLOAD, "nodes": [{**e, "id": 0} if e["id"] == 1 else e
                                           for e in PAYLOAD["nodes"]]},
                     "node id 0 is used twice"),
+    "node-without-role": ({**PAYLOAD, "nodes": [{"id": e["id"]} if e["id"] == 1 else e
+                                                for e in PAYLOAD["nodes"]]},
+                          "node entry {'id': 1} is not an object with an id and a role"),
+    "nodes-not-a-list": ({**PAYLOAD, "nodes": 5}, "network JSON nodes must be a list, got int"),
+    "node-entry-not-an-object": ({**PAYLOAD, "nodes": PAYLOAD["nodes"][:-1] + [3]},
+                                 "node entry 3 is not an object with an id and a role"),
+    "edge-not-a-pair": ({**PAYLOAD, "edges": PAYLOAD["edges"] + [[0, 1, 2]]},
+                        "edge [0, 1, 2] is not a pair of node ids"),
+    "edge-with-string-id": ({**PAYLOAD, "edges": PAYLOAD["edges"] + [["0", 1]]},
+                            "edge ['0', 1] is not a pair of node ids"),
+    "string-d": ({**PAYLOAD, "d": "2"}, "multiplicity d must be an integer, got '2'"),
+    "leaf-labels-not-an-object": ({**PAYLOAD, "leaf_labels": [1, 2, 3]},
+                                  "network JSON leaf_labels must be a dict, got list"),
+    "unknown-role": ({**PAYLOAD, "nodes": [{**e, "role": "bogus"} if e["id"] == 1 else e
+                                           for e in PAYLOAD["nodes"]]},
+                     "node 1 has role 'bogus', not one of "
+                     "['root', 'tree', 'reticulation', 'leaf']"),
 }
 
 
